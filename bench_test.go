@@ -324,9 +324,8 @@ func BenchmarkNetworkSimulator(b *testing.B) {
 }
 
 // BenchmarkRunSharded measures the simulation engines' scaling:
-// terminal-slots per second at 10k–1M terminals, for the slot-batched
-// fast path, the columnar cohort engine and the reference event-driven
-// engine, for one shard (the single-threaded Run) versus one shard per
+// terminal-slots per second at 10k–1M terminals, for the columnar
+// cohort engine and the reference event-driven engine, for one shard (the single-threaded Run) versus one shard per
 // core. Results are bit-identical across every variant (the
 // engine-equivalence and shard-count-invariance contracts); only the
 // wall clock changes.
@@ -335,7 +334,7 @@ func BenchmarkRunSharded(b *testing.B) {
 	if p := runtime.GOMAXPROCS(0); p > 1 {
 		shardCounts = append(shardCounts, p)
 	}
-	for _, engine := range []sim.Engine{sim.EngineFast, sim.EngineCols, sim.EngineDES} {
+	for _, engine := range []sim.Engine{sim.EngineCols, sim.EngineDES} {
 		for _, terms := range []int{10_000, 100_000, 1_000_000} {
 			for _, shards := range shardCounts {
 				b.Run(fmt.Sprintf("engine=%s/terminals=%d/shards=%d", engine, terms, shards), func(b *testing.B) {
@@ -371,13 +370,13 @@ func BenchmarkRunSharded(b *testing.B) {
 	}
 }
 
-// BenchmarkFastPathHotLoop measures the fast engine's steady-state cost
+// BenchmarkHotLoop measures the default engine's steady-state cost
 // per terminal-slot with one long-running terminal, so the one-time setup
 // amortizes to nothing: slots scale with b.N, making allocs/op the hot
 // loop's true allocation rate — which must be zero. Movement is heavy
 // (q=0.5, threshold crossings send real updates through the wire codec)
 // but calls are off, isolating the slot loop from the paging machinery.
-func BenchmarkFastPathHotLoop(b *testing.B) {
+func BenchmarkHotLoop(b *testing.B) {
 	cfg := sim.Config{
 		Core: core.Config{
 			Model:    chain.TwoDimExact,

@@ -5,18 +5,19 @@
 //	benchreport -validate BENCH_engine.json
 //
 // The report (schema bench-engine/v2) records terminal-slots per second
-// and allocation rates for the slot-batched fast engine, the columnar
-// cohort engine and the reference event-driven engine across population
-// sizes, the batched engines' steady-state hot-loop costs, and the
-// resulting per-engine speedups over DES. Per-run allocations are split
-// into one-time setup (shard construction) and the residual charged to
-// the slot loop, so "zero hot-loop allocs" is a measured claim rather
-// than an asymptotic one. All engines produce bit-identical results
-// (locman's TestEngineEquivalence); this report tracks the wall-clock
-// side of that contract. The -validate mode decodes a report strictly
+// and allocation rates for the columnar cohort engine and the reference
+// event-driven engine across population sizes, the columnar engine's
+// steady-state hot-loop cost, and the resulting speedup over DES.
+// Per-run allocations are split into one-time setup (shard
+// construction) and the residual charged to the slot loop, so "zero
+// hot-loop allocs" is a measured claim rather than an asymptotic one.
+// Both engines produce bit-identical results (locman's
+// TestEngineEquivalence); this report tracks the wall-clock side of
+// that contract. The -validate mode decodes a report strictly
 // (unknown fields rejected) and checks its internal invariants, so CI
 // can verify both the writer and a checked-in baseline; legacy
-// bench-engine/v1 documents are still accepted.
+// bench-engine/v1 documents, and documents that measured the retired
+// slot-batched "fast" engine, are still accepted.
 package main
 
 import (
@@ -81,7 +82,8 @@ type Run struct {
 // HotLoop is a batched engine's steady-state cost with a single
 // long-running terminal: slots scale with b.N so setup amortizes to
 // nothing, making AllocsPerOp the slot loop's true allocation rate.
-// Engine is empty in legacy v1 documents (implicitly the fast engine).
+// Engine is empty in legacy v1 documents (implicitly the retired fast
+// engine).
 type HotLoop struct {
 	Engine            string  `json:"engine,omitempty"`
 	NsPerTerminalSlot float64 `json:"ns_per_terminal_slot"`
@@ -89,9 +91,11 @@ type HotLoop struct {
 	BytesPerOp        int64   `json:"bytes_per_op"`
 }
 
-// Speedup is the batched engines' throughput advantage over the
-// reference event-driven engine at one population. A ratio is zero when
-// that engine was not measured (the -engines flag excluded it).
+// Speedup is the batch engine's throughput advantage over the reference
+// event-driven engine at one population. A ratio is zero when that
+// engine was not measured (the -engines flag excluded it). FastOverDES
+// is read from documents that measured the retired fast engine; new
+// reports leave it zero.
 type Speedup struct {
 	Terminals   int     `json:"terminals"`
 	FastOverDES float64 `json:"fast_over_des,omitempty"`
@@ -183,8 +187,8 @@ func run(args []string, stdout io.Writer) error {
 
 	rep := buildReport(params, runs, hots)
 	for _, s := range rep.Speedups {
-		fmt.Fprintf(stdout, "speedup %8d terminals: %.2fx fast, %.2fx cols over des\n",
-			s.Terminals, s.FastOverDES, s.ColsOverDES)
+		fmt.Fprintf(stdout, "speedup %8d terminals: %.2fx cols over des\n",
+			s.Terminals, s.ColsOverDES)
 	}
 	if err := writeReport(*out, rep); err != nil {
 		return err
@@ -336,31 +340,17 @@ func measureHotLoop(engine sim.Engine) HotLoop {
 }
 
 // buildReport assembles the document: the raw runs, the hot loops, and
-// the per-population speedups over DES derived from the runs.
+// the per-population cols speedups over DES derived from the runs.
 func buildReport(p Params, runs []Run, hots []HotLoop) *Report {
-	byKey := make(map[string]Run, len(runs))
+	tsps := make(map[string]float64, len(runs))
 	for _, r := range runs {
-		byKey[fmt.Sprintf("%s/%d", r.Engine, r.Terminals)] = r
-	}
-	ratio := func(engine string, terminals int, des Run) float64 {
-		r, ok := byKey[fmt.Sprintf("%s/%d", engine, terminals)]
-		if !ok || des.TerminalSlotsPerSec <= 0 {
-			return 0
-		}
-		return r.TerminalSlotsPerSec / des.TerminalSlotsPerSec
+		tsps[fmt.Sprintf("%s/%d", r.Engine, r.Terminals)] = r.TerminalSlotsPerSec
 	}
 	var speedups []Speedup
 	for _, r := range runs {
-		if r.Engine != sim.EngineDES.String() {
-			continue
-		}
-		s := Speedup{
-			Terminals:   r.Terminals,
-			FastOverDES: ratio(sim.EngineFast.String(), r.Terminals, r),
-			ColsOverDES: ratio(sim.EngineCols.String(), r.Terminals, r),
-		}
-		if s.FastOverDES > 0 || s.ColsOverDES > 0 {
-			speedups = append(speedups, s)
+		cols := tsps[fmt.Sprintf("%s/%d", sim.EngineCols, r.Terminals)]
+		if r.Engine == sim.EngineDES.String() && cols > 0 && r.TerminalSlotsPerSec > 0 {
+			speedups = append(speedups, Speedup{Terminals: r.Terminals, ColsOverDES: cols / r.TerminalSlotsPerSec})
 		}
 	}
 	return &Report{Schema: Schema, Params: p, Runs: runs, HotLoops: hots, Speedups: speedups}
@@ -484,7 +474,7 @@ func validateReport(r *Report) error {
 			if name != "" {
 				return fmt.Errorf("hot loop: engine tag %q in a v1 document", name)
 			}
-			name = sim.EngineFast.String()
+			name = "fast"
 		} else if e, err := sim.EngineByName(name); err != nil || e == sim.EngineDES {
 			return fmt.Errorf("hot loop %d: invalid engine %q", i, name)
 		}

@@ -29,17 +29,13 @@ func fakeRuns(p Params) []Run {
 		}
 	}
 	return []Run{
-		mk("fast", 10_000, 13, 0), mk("fast", 100_000, 13.5, 0),
 		mk("cols", 10_000, 9, 0), mk("cols", 100_000, 8.5, 0),
 		mk("des", 10_000, 40, 900), mk("des", 100_000, 45, 9000),
 	}
 }
 
 func fakeHotLoops() []HotLoop {
-	return []HotLoop{
-		{Engine: "fast", NsPerTerminalSlot: 25},
-		{Engine: "cols", NsPerTerminalSlot: 18},
-	}
+	return []HotLoop{{Engine: "cols", NsPerTerminalSlot: 18}}
 }
 
 func fakeReport() *Report {
@@ -101,27 +97,27 @@ const fakeV1Document = `{
 `
 
 // TestBuildReportSpeedups checks the derived speedups: one per population
-// with a des run, carrying both batched engines' throughput ratios.
+// with a des run, carrying the cols throughput ratio and no ratio for the
+// retired fast engine.
 func TestBuildReportSpeedups(t *testing.T) {
 	rep := fakeReport()
 	if len(rep.Speedups) != 2 {
 		t.Fatalf("got %d speedups, want 2", len(rep.Speedups))
 	}
-	wantFast := map[int]float64{10_000: 40.0 / 13, 100_000: 45.0 / 13.5}
 	wantCols := map[int]float64{10_000: 40.0 / 9, 100_000: 45.0 / 8.5}
 	near := func(got, want float64) bool {
 		diff := got - want
 		return diff < 1e-9 && diff > -1e-9
 	}
 	for _, s := range rep.Speedups {
-		wf, ok := wantFast[s.Terminals]
+		wc, ok := wantCols[s.Terminals]
 		if !ok {
 			t.Fatalf("unexpected speedup population %d", s.Terminals)
 		}
-		if !near(s.FastOverDES, wf) {
-			t.Errorf("fast speedup at %d terminals = %v, want %v", s.Terminals, s.FastOverDES, wf)
+		if s.FastOverDES != 0 {
+			t.Errorf("new report carries a fast ratio at %d terminals", s.Terminals)
 		}
-		if wc := wantCols[s.Terminals]; !near(s.ColsOverDES, wc) {
+		if !near(s.ColsOverDES, wc) {
 			t.Errorf("cols speedup at %d terminals = %v, want %v", s.Terminals, s.ColsOverDES, wc)
 		}
 	}
@@ -146,18 +142,18 @@ func TestValidateReport(t *testing.T) {
 		{"unknown engine", func(r *Report) { r.Runs[0].Engine = "warp" }, "unknown engine"},
 		{"zero throughput", func(r *Report) { r.Runs[1].TerminalSlotsPerSec = 0 }, "non-positive"},
 		{"duplicate run", func(r *Report) { r.Runs[1] = r.Runs[0] }, "duplicate"},
-		{"broken alloc split", func(r *Report) { r.Runs[4].SetupAllocsPerOp++ }, "inconsistent with total"},
+		{"broken alloc split", func(r *Report) { r.Runs[2].SetupAllocsPerOp++ }, "inconsistent with total"},
 		{"allocating cols loop", func(r *Report) {
-			r.Runs[2].AllocsPerOp += 7
-			r.Runs[2].HotAllocsPerOp += 7
+			r.Runs[0].AllocsPerOp += 7
+			r.Runs[0].HotAllocsPerOp += 7
 		}, "must not allocate"},
 		{"orphan speedup", func(r *Report) { r.Speedups[0].Terminals = 777 }, "no des run"},
 		{"inconsistent speedup", func(r *Report) { r.Speedups[0].ColsOverDES *= 2 }, "inconsistent with runs"},
 		{"missing hot loops", func(r *Report) { r.HotLoops = nil }, "hot_loops"},
 		{"both hot loop sections", func(r *Report) { r.HotLoop = &HotLoop{NsPerTerminalSlot: 1} }, "not hot_loop"},
 		{"des hot loop", func(r *Report) { r.HotLoops[0].Engine = "des" }, "invalid engine"},
-		{"duplicate hot loop", func(r *Report) { r.HotLoops[1].Engine = "fast" }, "duplicate engine"},
-		{"allocating hot loop", func(r *Report) { r.HotLoops[1].AllocsPerOp = 3 }, "must not allocate"},
+		{"duplicate hot loop", func(r *Report) { r.HotLoops = append(r.HotLoops, r.HotLoops[0]) }, "duplicate engine"},
+		{"allocating hot loop", func(r *Report) { r.HotLoops[0].AllocsPerOp = 3 }, "must not allocate"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rep := fakeReport()
@@ -296,13 +292,30 @@ func TestParseTerminals(t *testing.T) {
 	}
 }
 
-// TestParseEngines pins the engine-list parser.
+// TestParseEngines pins the engine-list parser, including the retired
+// "fast" name, which resolves to (and so duplicates) cols.
 func TestParseEngines(t *testing.T) {
-	got, err := parseEngines("fast, cols")
+	got, err := parseEngines("des, cols")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 2 || got[0].String() != "fast" || got[1].String() != "cols" {
+	if len(got) != 2 || got[0].String() != "des" || got[1].String() != "cols" {
 		t.Errorf("parseEngines = %v", got)
+	}
+	if _, err := parseEngines("fast,cols"); err == nil || !strings.Contains(err.Error(), "duplicate cols") {
+		t.Errorf("parseEngines(fast,cols) error = %v, want a duplicate cols", err)
+	}
+}
+
+// TestCommittedReportValid validates the checked-in BENCH_engine.json, a
+// historical v2 document that still carries the retired fast engine's
+// runs and fast_over_des ratios, through the CLI path.
+func TestCommittedReportValid(t *testing.T) {
+	var out strings.Builder
+	if err := run([]string{"-validate", filepath.Join("..", "..", "BENCH_engine.json")}, &out); err != nil {
+		t.Fatalf("committed report rejected: %v", err)
+	}
+	if !strings.Contains(out.String(), "valid bench-engine/v2 report") {
+		t.Errorf("confirmation missing from %q", out.String())
 	}
 }

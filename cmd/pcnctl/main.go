@@ -190,7 +190,7 @@ func (c *client) submit(args []string, stdout, stderr io.Writer) error {
 	seed := fs.Uint64("seed", 1, "simulation seed")
 	shards := fs.Int("shards", runtime.GOMAXPROCS(0),
 		"parallel simulation shards (results are identical for any shard count)")
-	engine := fs.String("engine", "fast",
+	engine := fs.String("engine", "cols",
 		"simulation engine: "+strings.Join(locman.EngineNames(), " or "))
 	timeoutSec := fs.Float64("timeout", 0,
 		"per-job wall-clock deadline in seconds (0 = none)")

@@ -154,7 +154,8 @@ func TestRunBeforeStopsAtMark(t *testing.T) {
 
 // TestRunBeforeFollowsRescheduling pins that events scheduled during the
 // run are themselves dispatched when they precede the point — the paging
-// chains the fast path drains within a slot are exactly such cascades.
+// chains the columnar engine drains within a slot are exactly such
+// cascades.
 func TestRunBeforeFollowsRescheduling(t *testing.T) {
 	var s Scheduler
 	hits := 0

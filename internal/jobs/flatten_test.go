@@ -44,7 +44,7 @@ func TestResultRowFlattening(t *testing.T) {
 		t.Errorf("Job = %q", row.Job)
 	}
 	if row.Scenario != "" || row.Scheme != "distance" || row.SchemeParam != 0 ||
-		row.Partition != "sdf" || row.Model != "2d" || row.Engine != "fast" {
+		row.Partition != "sdf" || row.Model != "2d" || row.Engine != "cols" {
 		t.Errorf("default dims wrong: %+v", row)
 	}
 	if row.D != 2 || row.Q != 0.05 || row.C != 0.01 || row.U != 100 || row.V != 10 ||

@@ -89,8 +89,9 @@ type Spec struct {
 	SnapshotEvery int64 `json:"snapshot_every,omitempty"`
 	// Seed seeds the deterministic simulation.
 	Seed uint64 `json:"seed"`
-	// Engine selects the simulation engine ("" means "fast"); valid
-	// names are locman.EngineNames.
+	// Engine selects the simulation engine ("" means "cols"); valid
+	// names are locman.EngineNames, plus the legacy alias "fast", which
+	// resolves to "cols".
 	Engine string `json:"engine,omitempty"`
 	// TimeoutSec is the per-job wall-clock deadline in seconds; 0 means
 	// no deadline. A job exceeding it fails with a deadline error.

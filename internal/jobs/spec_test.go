@@ -227,6 +227,47 @@ func TestSpecSchemaCompat(t *testing.T) {
 	}
 }
 
+// TestSpecLegacyEngineAlias keeps stored specs that name the retired
+// "fast" engine loading: such a document decodes, validates, maps to the
+// columnar engine, and yields the same report bytes as a spec that
+// leaves the engine unset.
+func TestSpecLegacyEngineAlias(t *testing.T) {
+	var legacy Spec
+	dec := json.NewDecoder(strings.NewReader(`{
+		"move_prob": 0.05, "call_prob": 0.01,
+		"update_cost": 100, "poll_cost": 10, "max_delay": 3,
+		"terminals": 10, "slots": 1000, "shards": 2, "seed": 1,
+		"engine": "fast"
+	}`))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&legacy); err != nil {
+		t.Fatal(err)
+	}
+	if err := legacy.Validate(); err != nil {
+		t.Fatalf("engine \"fast\" no longer validates: %v", err)
+	}
+	cfg, err := legacy.NetworkConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Engine != locman.EngineCols {
+		t.Errorf("engine \"fast\" resolved to %v, want cols", cfg.Engine)
+	}
+	unset := legacy
+	unset.Engine = ""
+	got, err := json.Marshal(runReport(t, legacy))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(runReport(t, unset))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Errorf("engine \"fast\" report differs from the default engine's:\n%s\nwant:\n%s", got, want)
+	}
+}
+
 // FuzzSpecValidate hardens the descriptor boundary: arbitrary JSON that
 // decodes into a Spec must never panic Validate or NetworkConfig, and
 // Validate's verdict must agree with NetworkConfig (a spec that

@@ -85,7 +85,7 @@ type Row struct {
 	Scenario    string  // registered scenario name, "" for an explicit model
 	Scheme      string  // update scheme name ("distance", "timer", "movement")
 	SchemeParam int64   // timer period / movement count in slots; 0 for distance
-	Engine      string  // simulation engine name ("fast", "des", "cols")
+	Engine      string  // simulation engine name ("cols", "des"; older stored rows may say "fast")
 	Model       string  // mobility model ("1d", "2d")
 	Partition   string  // paging partitioner name
 	Dynamic     int64   // 1 when the dynamic per-user mechanism was on

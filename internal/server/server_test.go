@@ -273,7 +273,7 @@ func TestServerStreamLive(t *testing.T) {
 	big := testSpec()
 	big.Terminals = 1_000
 	big.Slots = 50_000_000
-	big.SnapshotEvery = 1_000 // fast-path progress publishes per batch
+	big.SnapshotEvery = 1_000 // batch-boundary progress publishes per batch
 	status, raw := doJSON(t, http.MethodPost, srv.URL+"/api/v1/jobs", big)
 	if status != http.StatusAccepted {
 		t.Fatalf("submit: %d: %s", status, raw)

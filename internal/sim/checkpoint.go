@@ -41,9 +41,9 @@ type Checkpoint struct {
 	StartD int
 	Seed   uint64
 	// Engine records which engine took the checkpoint. The reference
-	// engine (EngineDES) keeps one scheduler per shard, the batch engines
-	// (EngineFast, EngineCols) one per terminal; checkpoints are
-	// interchangeable within a class but not across (see engineClass).
+	// engine (EngineDES) keeps one scheduler per shard, the batch engine
+	// (EngineCols) one per terminal; a checkpoint resumes only on an
+	// engine of its own class (see engineClass).
 	Engine Engine
 	// Scheme and SchemeParam record the update scheme the run uses
 	// (SchemeNames / UpdateScheme.Param); resuming under a different
@@ -73,11 +73,11 @@ type ShardCheckpoint struct {
 	// Frames is the telemetry snapshot series captured so far (including
 	// a frame at this boundary when it lies on the telemetry cadence).
 	Frames []FrameCheckpoint
-	// SubEvents is the batch engines' cumulative dispatched sub-slot
+	// SubEvents is the batch engine's cumulative dispatched sub-slot
 	// event count (unused by the reference engine, which derives its
 	// count from the scheduler's Processed counter).
 	SubEvents uint64
-	// Scheds, PreSweep, CurD and RunLen are the batch engines'
+	// Scheds, PreSweep, CurD and RunLen are the batch engine's
 	// per-terminal scheduler state, reference-tie-break marks and batched
 	// threshold-usage accounting; nil for the reference engine.
 	Scheds   []SchedCheckpoint
@@ -85,7 +85,7 @@ type ShardCheckpoint struct {
 	CurD     []int64
 	RunLen   []int64
 	// DES is the reference engine's single shard scheduler; nil for the
-	// batch engines.
+	// batch engine.
 	DES *DESCheckpoint
 }
 
@@ -167,8 +167,11 @@ type DESCheckpoint struct {
 }
 
 // engineClass groups engines by checkpoint representation: the reference
-// engine's single-scheduler state versus the batch engines' per-terminal
-// state. Checkpoints resume on any engine of the same class.
+// engine's single-scheduler state versus the batch engine's per-terminal
+// state. Every value other than EngineDES is batch state: checkpoints
+// written while a slot-batched engine sat beside the columnar one carry
+// 0 (that engine) or 2 (the columnar engine's number then), and both
+// hold the per-terminal state EngineCols resumes from.
 func engineClass(e Engine) string {
 	if e == EngineDES {
 		return "des"

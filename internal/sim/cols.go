@@ -10,48 +10,77 @@ import (
 	"repro/internal/wire"
 )
 
-// The columnar cohort engine (EngineCols).
+// The columnar cohort engine (EngineCols, the default).
 //
-// The fast path already inverted the reference engine's loop — terminals
-// advance through whole slot batches in memory order — but each terminal
-// still drags its full struct (parameters, estimator, fault bookkeeping;
-// well over a cache line) through the hot loop, and still asks the RNG
-// one question per slot. At millions of terminals the struct walk is
-// what blows the cache: BENCH_engine.json shows fast-path throughput
-// falling between 100k and 1M terminals.
+// The reference engine pays the full discrete-event machinery for every
+// slot of every terminal — a heap-driven sweep event, a map increment and
+// two Bernoulli draws per terminal-slot — even though under the paper's
+// parameters (q, c ≪ 1) the overwhelming majority of terminal-slots do
+// nothing that needs an event queue at all. The columnar engine inverts
+// the loop: terminals advance through whole slot batches in memory order,
+// drawing their call/movement outcomes straight from their positional
+// RNG streams with precomputed integer Bernoulli thresholds. On a pure
+// slot — no queued timers — the scheduler is not touched at all: paging
+// exchanges run inline through pageInline (allocation-free, with explicit
+// tick bookkeeping), and only update/ack/retry machinery arms the small
+// per-terminal scheduler, after which the affected slots fall back to
+// the event path until the queue drains.
 //
-// The columnar engine splits the state by temperature. The few words the
-// per-slot decision actually needs — position, center, threshold, the
-// precomputed call/move thresholds, the RNG state and the scheduler
-// bookkeeping — live in flat parallel slices (one cache-dense column
-// each), while the terminal structs are kept as a cold mirror that only
-// event handling touches: scheduled closures (ack timers) capture
-// *terminal, so those pointers must stay stable and the struct fields
-// must be current whenever network code runs. The engine walks terminals
-// in cohorts of colsCohortTerminals per slot batch, which bounds how
-// stale the cohort-granular progress accounting can get and gives
-// cancellation a natural check boundary.
+// The state is split by temperature. The few words the per-slot decision
+// actually needs — position, center, threshold, the precomputed
+// call/move thresholds, the RNG state and the scheduler bookkeeping —
+// live in flat parallel slices (one cache-dense column each), while the
+// terminal structs are kept as a cold mirror that only event handling
+// touches: scheduled closures (ack timers) capture *terminal, so those
+// pointers must stay stable and the struct fields must be current
+// whenever network code runs. Walking full terminal structs (well over a
+// cache line each) is what blows the cache at millions of terminals. The
+// engine walks terminals in cohorts of colsCohortTerminals per slot
+// batch, which bounds how stale the cohort-granular progress accounting
+// can get and gives cancellation a natural check boundary.
 //
-// Inside a terminal's event-free stretch the engine stops asking "did
-// anything happen this slot?" and instead asks "how many slots until
-// something happens?" — stats.RNG.EventGap draws the gap to the next
-// call-or-move event directly. The gap sampler is the per-slot threshold
-// scan itself (one call draw, then one move draw, per slot, in sweepSlot
-// order), so it consumes the identical stream positions as the scalar
-// engines and bit-identity is preserved by construction; what it buys is
-// that the generator state, position and center stay in registers for
-// the whole stretch instead of round-tripping through memory every slot.
-// Cell geometry is inlined on a concrete grid.Hex/grid.Line branch
-// rather than called through the locator interface: an interface call
-// would force the register-resident RNG copy to escape to the heap,
-// and the hot loop must not allocate at any population size.
+// Inside a terminal's event-free stretch the engine does not ask "did
+// anything happen this slot?" but "how many slots until something
+// happens?" — stats.RNG.EventGap draws the gap to the next call-or-move
+// event directly, while the generator state, position and center stay in
+// registers for the whole stretch. Cell geometry is inlined on a concrete
+// grid.Hex/grid.Line branch rather than called through the locator
+// interface: an interface call would force the register-resident RNG
+// copy to escape to the heap, and the hot loop must not allocate at any
+// population size.
 //
-// Everything the fast path established about equivalence carries over
-// unchanged (see the contract notes in fast.go): slow slots run the
-// reference sweepSlot on the struct mirror, per-terminal event timing
-// replays the reference tie-break via preSweep marks and RunBefore, and
-// telemetry frames are captured at the same batch boundaries with the
-// same accounting.
+// Bit-identity with the reference engine is a contract, not an accident
+// (see TestColsDESEquivalence). It rests on three facts:
+//
+//  1. Per-terminal draw order is untouched. The gap sampler is the
+//     per-slot threshold scan of network.sweepSlot itself — one call
+//     draw, then one move draw, per slot, then the in-move direction —
+//     consuming the identical stream positions (stats.BernoulliThreshold
+//     documents the exactness); pageInline replays the paging chain's
+//     loss draws in chain order, and slow slots run sweepSlot itself on
+//     the struct mirror.
+//
+//  2. Cross-terminal state is commutative. Terminals meet only in
+//     integer counters, fixed-bucket histograms, per-terminal HLR
+//     records and the threshold-keyed paging-plan cache, so reordering
+//     the sweeps across terminals cannot change any result. (callSeq
+//     values are assigned in a different order, but calls are compared
+//     only for equality within one terminal's paging chain and wire
+//     encodings are fixed-length, so nothing observable shifts.)
+//
+//  3. Per-terminal event timing replays the reference tie-break. Within
+//     one terminal, the reference engine orders a queued event against a
+//     slot boundary by (time, insertion order) against that slot's sweep
+//     event, whose insertion stamp is assigned at the end of the
+//     previous slot's sweep. The columnar engine reproduces the stamp
+//     with SeqMark after each sweep that touches the scheduler
+//     (colsState.preSweep) and splits each armed slot into the same two
+//     phases with RunBefore: events due before the sweep, then the
+//     sweep, then events due before the next boundary. Pure slots leave
+//     the mark alone — the per-terminal insertion counter only advances
+//     when something is scheduled, so the stale mark still classifies
+//     every queued event exactly as the reference engine's growing
+//     global counter would.
 
 // colsCohortTerminals is the cohort width: terminals are advanced
 // through each slot batch in blocks of this many. The hot columns of a
@@ -76,13 +105,21 @@ type colsState struct {
 	// of params.C and moveProb; both are fixed for the whole run).
 	callT []uint64
 	moveT []uint64
-	// sched and preSweep are the per-terminal scheduler machinery, and
-	// curD/runLen the batched threshold-usage accounting — exactly
-	// fastTerm's fields, as columns.
+	// sched is each terminal's own scheduler. preSweep is where the
+	// reference engine's next slot-sweep event would sit in that
+	// terminal's insertion order: the SeqMark taken after the previous
+	// scheduler-touching slot's sweep. A queued event on the slot
+	// boundary runs before the boundary's sweep (and before any
+	// telemetry capture) exactly when its stamp is below the mark.
 	sched    []des.Scheduler
 	preSweep []uint64
-	curD     []int32
-	runLen   []int64
+	// curD and runLen batch the per-slot threshold-usage accounting:
+	// runLen consecutive slots spent at threshold curD, flushed to
+	// Metrics.ThresholdSlots only when the threshold changes or the run
+	// ends — the reference engine's per-terminal-slot map increment is
+	// the single largest cost it pays.
+	curD   []int32
+	runLen []int64
 }
 
 func newColsState(terms []terminal, rngs []stats.RNG, startD int) *colsState {
@@ -128,21 +165,40 @@ func (c *colsState) syncColumns(t *terminal, i int) {
 	c.thr[i] = int32(t.threshold)
 }
 
-// flushThreshold credits terminal i's batched threshold-usage run; see
-// fastTerm.flushThreshold.
+// flushThreshold credits terminal i's batched threshold-usage run.
+// Flushes always carry runLen ≥ 1 once a slot has run, so the map never
+// grows zero-valued keys the reference engine would not have.
 func (c *colsState) flushThreshold(i int, m *Metrics) {
 	if c.runLen[i] > 0 {
 		m.ThresholdSlots[int(c.curD[i])] += c.runLen[i]
 	}
 }
 
-// runShardCols simulates terminals [lo, hi) with the columnar cohort
-// engine, bit-identical to runShard and runShardFast for every
-// configuration. The batch structure matches the fast path (slot batches
-// bounded by the telemetry cadence, frames captured at the boundaries,
-// final drain of late timers); within a batch, terminals advance in
-// cohorts, and within a terminal, event-free stretches collapse into
-// EventGap draws on register-resident state.
+// runShardCols simulates terminals [r.lo, r.hi) with the columnar
+// cohort engine, bit-identical to runShard for every configuration: same
+// Metrics, same telemetry frame series, same histograms. Slots are
+// processed in batches bounded by the telemetry cadence so each snapshot
+// observes exactly the state the reference engine would capture at that
+// boundary; within a batch, terminals advance in cohorts, and within a
+// terminal, event-free stretches collapse into EventGap draws on
+// register-resident state.
+//
+// Checkpoint boundaries also bound the batches. Subdividing batches is
+// harmless — cross-terminal state is commutative (contract note 2) and
+// each terminal's per-slot work is identical wherever the batch edges
+// fall — so inserting checkpoint boundaries cannot change results. A
+// checkpoint captures each terminal's scheduler verbatim (clock, stamp
+// counter, pending retransmission timers by tag) plus the preSweep mark
+// and the batched threshold-usage accumulator, exactly the state the
+// engine itself carries across a batch edge; resume reinstates it and
+// re-enters the loop at the boundary.
+//
+// A cancellable ctx is polled between per-terminal slot chunks, with
+// pure stretches additionally capped at ctxCheckSlots slots, so the
+// shard stops within a bounded amount of work whether the population is
+// wide (many terminals, few slots each) or deep (one terminal, many
+// slots). A background context takes the check-free path and the
+// stretch cap never engages.
 func runShardCols(ctx context.Context, r shardRun) (shardResult, error) {
 	cfg, slots := r.cfg, r.slots
 	n, terms, rngs, err := newShardNetwork(cfg, slots, r.lo, r.hi, r.startD, r.loc)
@@ -170,8 +226,9 @@ func runShardCols(ctx context.Context, r shardRun) (shardResult, error) {
 	done := ctx.Done()
 	width := int64(r.hi - r.lo)
 	var frames []telemetry.ShardFrame
-	// subEvents counts dispatched sub-slot events across all terminals,
-	// same convention as the fast path.
+	// subEvents counts dispatched sub-slot events across all terminals —
+	// the engine schedules no sweep events, so this is directly the
+	// reference engine's Processed() minus its slot sweeps.
 	var subEvents uint64
 	if r.resume != nil {
 		frames = restoreFrames(r.resume.Frames)
@@ -307,7 +364,7 @@ func runShardCols(ctx context.Context, r shardRun) (shardResult, error) {
 							if lr.BernoulliT(callT) {
 								rngs[i] = lr
 								t.pos, t.center, t.threshold = pos, ctr, thr
-								subEvents += n.fastPage(t, des.Time(s)*SlotTicks)
+								subEvents += n.pageInline(t, des.Time(s)*SlotTicks)
 								ctr = t.center
 								lr = rngs[i]
 								s++
@@ -344,7 +401,7 @@ func runShardCols(ctx context.Context, r shardRun) (shardResult, error) {
 							// column and may re-center the terminal).
 							rngs[i] = lr
 							t.pos, t.center, t.threshold = pos, ctr, thr
-							subEvents += n.fastPage(t, des.Time(s)*SlotTicks)
+							subEvents += n.pageInline(t, des.Time(s)*SlotTicks)
 							ctr = t.center
 							lr = rngs[i]
 							if dyn {
@@ -462,4 +519,83 @@ func runShardCols(ctx context.Context, r shardRun) (shardResult, error) {
 
 	n.metrics.Events = subEvents
 	return shardResult{metrics: finishShard(n, terms, slots), frames: frames}, nil
+}
+
+// pageInline is network.page run to completion inline, without scheduling a
+// single event: the polling-cycle chain is a per-terminal linear sequence
+// of strictly later ticks, so with an empty terminal queue (the caller's
+// precondition) executing it synchronously is indistinguishable from the
+// event-driven version — the loss draws come in identical chain order,
+// pageSuccessAt is stamped with the tick the resolution event would have
+// carried, and the return value is exactly the number of events the
+// reference engine's chain would have processed, so Metrics.Events still
+// matches. Structurally this is page() with each sched.After(τ, step)
+// replaced by falling through to step's body and counting the event.
+func (n *network) pageInline(t *terminal, base des.Time) uint64 {
+	rec := *n.hlrAt(t.id)
+	n.callSeq++
+	call := n.callSeq
+	info := n.partitionFor(rec.threshold)
+	ring := n.loc.dist(t.pos, rec.center)
+	n.metrics.Calls++
+	n.term(t.id).Calls++
+
+	// See page(): the subarea whose polls reach the terminal, or −1 when
+	// the registered record cannot contain it.
+	target := -1
+	if ring < len(info.ringSubarea) {
+		target = info.ringSubarea[ring]
+	} else {
+		n.metrics.FallbackCalls++
+	}
+
+	events := uint64(1) // the kickoff event that carries the first cycle
+	for j := 0; j < len(info.part); j++ {
+		sub := info.part[j]
+		cyc := uint8(j + 1)
+		if j+1 > 255 {
+			cyc = 255
+		}
+		poll := wire.Poll{Terminal: t.id, Cell: rec.center, Call: call, Cycle: cyc}
+		n.scratch = poll.Encode(n.scratch[:0])
+		n.metrics.PolledCells += int64(sub.Cells)
+		n.term(t.id).PolledCells += int64(sub.Cells)
+		n.metrics.PollBytes += int64(sub.Cells * len(n.scratch))
+		if j == target && n.pollHeard(t) {
+			events++ // the reply-resolution event one tick later
+			if n.replyDelivered(t, call) {
+				// Cycle j runs at base+1+2j; its reply resolves at +1.
+				n.pageSuccessAt(t, j+1, base+des.Time(2+2*j))
+				return events
+			}
+		}
+		events++ // the event carrying the next cycle (or the first round)
+	}
+	for r := 1; ; r++ {
+		if r > n.cfg.Faults.PageRetries {
+			n.metrics.DroppedCalls++
+			return events
+		}
+		n.metrics.RePolls++
+		radius := rec.threshold + r
+		cells := n.diskCells(radius)
+		cyc := uint8(255)
+		if c := len(info.part) + r; c <= 255 {
+			cyc = uint8(c)
+		}
+		poll := wire.Poll{Terminal: t.id, Cell: rec.center, Call: call, Cycle: cyc}
+		n.scratch = poll.Encode(n.scratch[:0])
+		n.metrics.PolledCells += int64(cells)
+		n.term(t.id).PolledCells += int64(cells)
+		n.metrics.PollBytes += int64(cells * len(n.scratch))
+		if ring <= radius && n.pollHeard(t) {
+			events++ // the reply-resolution event one tick later
+			if n.replyDelivered(t, call) {
+				// Round r runs at base+1+2·len(part)+2(r−1); reply at +1.
+				n.pageSuccessAt(t, len(info.part)+r, base+des.Time(2*len(info.part)+2*r))
+				return events
+			}
+		}
+		events++ // the event carrying the next round
+	}
 }

@@ -124,10 +124,10 @@ func (n *network) markSynced(t *terminal) {
 }
 
 // markSyncedAt is markSynced at an explicit virtual time, for callers that
-// run ahead of the scheduler clock (the fast path's inline paging
-// exchange): the recovery latency has sub-slot resolution, so the tick the
-// episode closes at must be the one the event-driven exchange would have
-// reached.
+// run ahead of the scheduler clock (the columnar engine's inline paging
+// exchange, pageInline): the recovery latency has sub-slot resolution, so
+// the tick the episode closes at must be the one the event-driven
+// exchange would have reached.
 func (n *network) markSyncedAt(t *terminal, now des.Time) {
 	if t.desynced {
 		t.desynced = false
@@ -410,19 +410,19 @@ func (n *network) page(t *terminal) {
 // update scheme deciding whether the move triggers an update), then the
 // timer scheme's deadline check, then the dynamic scheme's estimator
 // update. The draw order — call, then movement, then the in-move
-// direction — is the per-terminal RNG contract the fast path's
+// direction — is the per-terminal RNG contract the columnar engine's
 // bit-identity rests on: the reference engine runs this method every
-// slot, the batch engines replicate the same draws inline on their pure
-// slots (runShardFast, runShardCols) and fall back to this method
-// whenever queued events are in play. Note Bernoulli always consumes a
-// draw, even at probability zero, so the sequence is the same whatever
+// slot, the columnar engine replicates the same draws inline on its pure
+// slots (runShardCols) and falls back to this method whenever queued
+// events are in play. Note Bernoulli always consumes a draw, even at
+// probability zero, so the sequence is the same whatever
 // the outcomes; the scheme dispatch sits strictly after the draws and
 // takes none of its own. Threshold-usage accounting stays with the
 // callers: the reference engine counts every terminal-slot as it
-// sweeps, the batch engines batch runs of unchanged thresholds.
+// sweeps, the columnar engine batches runs of unchanged thresholds.
 //
 // slot is the current slot index: the reference engine passes its slot
-// counter, the batch engines the stretch position. It is only read by
+// counter, the columnar engine the stretch position. It is only read by
 // the timer scheme (the scheduler clock is not necessarily advanced on
 // pure slots).
 func (n *network) sweepSlot(t *terminal, slot int64) {

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"hash/crc32"
 
-	"repro/internal/chain"
 	"repro/internal/sweep"
 	"repro/internal/telemetry"
 )
@@ -89,17 +88,7 @@ func RunPartial(ctx context.Context, cfg Config, slots int64, shards, lo, hi int
 	if err != nil {
 		return nil, err
 	}
-	var loc locator = hexLocator{}
-	if cfg.Core.Model == chain.OneDim {
-		loc = lineLocator{}
-	}
-	engine := runShard
-	switch cfg.Engine {
-	case EngineFast:
-		engine = runShardFast
-	case EngineCols:
-		engine = runShardCols
-	}
+	engine, loc := shardEngine(cfg)
 	cfg.Telemetry.Progress.Init(shards)
 	parts, err := sweep.MapCtx(ctx, hi-lo, 0, func(ctx context.Context, i int) (shardResult, error) {
 		s := lo + i

@@ -31,7 +31,7 @@ func partialConfig(engine Engine) Config {
 // RunSharded Metrics bit for bit, for every engine and slicing.
 func TestPartialMergeMatchesSharded(t *testing.T) {
 	const slots, shards = 400, 5
-	for _, engine := range []Engine{EngineFast, EngineDES, EngineCols} {
+	for _, engine := range []Engine{EngineCols, EngineDES} {
 		cfg := partialConfig(engine)
 		want, err := RunSharded(cfg, slots, shards)
 		if err != nil {
@@ -78,7 +78,7 @@ func TestPartialMergeMatchesSharded(t *testing.T) {
 }
 
 func TestRunPartialRejectsBadSlices(t *testing.T) {
-	cfg := partialConfig(EngineFast)
+	cfg := partialConfig(EngineCols)
 	for _, tc := range []struct{ shards, lo, hi int }{
 		{0, 0, 1},   // shards must be explicit
 		{100, 0, 1}, // more shards than terminals
@@ -97,7 +97,7 @@ func TestRunPartialRejectsBadSlices(t *testing.T) {
 // Metrics.Merge panic or a silently wrong report.
 func TestMergePartialsMismatch(t *testing.T) {
 	const slots, shards = 50, 2
-	cfg := partialConfig(EngineFast)
+	cfg := partialConfig(EngineCols)
 	run := func(c Config, slots int64, shards, lo, hi int) *Partial {
 		t.Helper()
 		p, err := RunPartial(context.Background(), c, slots, shards, lo, hi)
@@ -135,7 +135,7 @@ func TestMergePartialsMismatch(t *testing.T) {
 }
 
 func TestDecodePartialRejectsCorruption(t *testing.T) {
-	p, err := RunPartial(context.Background(), partialConfig(EngineFast), 20, 2, 0, 1)
+	p, err := RunPartial(context.Background(), partialConfig(EngineCols), 20, 2, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestDecodePartialRejectsCorruption(t *testing.T) {
 // document must fail.
 func TestPartialValidate(t *testing.T) {
 	fresh := func() *Partial {
-		p, err := RunPartial(context.Background(), partialConfig(EngineFast), 20, 3, 1, 3)
+		p, err := RunPartial(context.Background(), partialConfig(EngineCols), 20, 3, 1, 3)
 		if err != nil {
 			t.Fatal(err)
 		}

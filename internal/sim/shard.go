@@ -42,17 +42,18 @@ func RunSharded(cfg Config, slots int64, shards int) (*Metrics, error) {
 	return RunShardedCtx(context.Background(), cfg, slots, shards)
 }
 
-// ctxCheckSlots bounds how many slots the fast path's pure stretch may
-// run between cancellation checks when a cancellable context is in
-// force. A stretch this long costs well under a millisecond, so the
-// shard notices cancellation orders of magnitude inside any human
-// deadline while a background context pays no per-slot check at all.
+// ctxCheckSlots bounds how many slots the columnar engine's pure
+// stretch may run between cancellation checks when a cancellable
+// context is in force. A stretch this long costs well under a
+// millisecond, so the shard notices cancellation orders of magnitude
+// inside any human deadline while a background context pays no
+// per-slot check at all.
 const ctxCheckSlots = 1 << 16
 
 // RunShardedCtx is RunSharded under cooperative cancellation: when ctx is
 // cancelled, shards that have not started are never dispatched and every
 // in-flight shard stops within a bounded amount of work (the reference
-// engine checks at each slot boundary, the fast path at least every
+// engine checks at each slot boundary, the columnar engine at least every
 // ctxCheckSlots terminal-slots), so the call returns promptly with
 // ctx.Err() instead of after run completion. A run that completes
 // normally is untouched by the context machinery: results remain
@@ -108,10 +109,6 @@ func RunShardedOpts(ctx context.Context, cfg Config, slots int64, shards int, op
 	if err != nil {
 		return nil, err
 	}
-	var loc locator = hexLocator{}
-	if cfg.Core.Model == chain.OneDim {
-		loc = lineLocator{}
-	}
 	if opts.CheckpointEvery < 0 {
 		return nil, fmt.Errorf("sim: negative checkpoint cadence %d", opts.CheckpointEvery)
 	}
@@ -124,13 +121,7 @@ func RunShardedOpts(ctx context.Context, cfg Config, slots int64, shards int, op
 		}
 	}
 
-	engine := runShard
-	switch cfg.Engine {
-	case EngineFast:
-		engine = runShardFast
-	case EngineCols:
-		engine = runShardCols
-	}
+	engine, loc := shardEngine(cfg)
 	var agg *ckptAggregator
 	if opts.CheckpointEvery > 0 {
 		upd, _ := resolveScheme(cfg.Scheme) // validated above
@@ -205,6 +196,21 @@ type shardRun struct {
 	// interior multiple of every slots and hand it to emit.
 	every int64
 	emit  func(ShardCheckpoint)
+}
+
+// shardEngine maps cfg onto the code that runs its shards: the engine
+// implementation for cfg.Engine and the cell-geometry locator for the
+// mobility model. RunShardedOpts and RunPartial both dispatch through
+// it; cfg must already be validated.
+func shardEngine(cfg Config) (func(context.Context, shardRun) (shardResult, error), locator) {
+	var loc locator = hexLocator{}
+	if cfg.Core.Model == chain.OneDim {
+		loc = lineLocator{}
+	}
+	if cfg.Engine == EngineDES {
+		return runShard, loc
+	}
+	return runShardCols, loc
 }
 
 // validateResume rejects checkpoints that do not describe the offered
@@ -295,7 +301,7 @@ func validate(cfg Config, slots int64) error {
 		return fmt.Errorf("sim: negative telemetry snapshot cadence %d", cfg.Telemetry.SnapshotEvery)
 	}
 	switch cfg.Engine {
-	case EngineFast, EngineDES, EngineCols:
+	case EngineCols, EngineDES:
 	default:
 		return fmt.Errorf("sim: unknown engine %d", int(cfg.Engine))
 	}
@@ -401,10 +407,10 @@ func finishShard(n *network, terms []terminal, slots int64) *Metrics {
 
 // runShard simulates terminals [r.lo, r.hi) of the global population on
 // one discrete-event engine — the reference EngineDES implementation the
-// fast path is differentially tested against. Its Metrics carry only
-// this shard's share: Terminals is hi−lo, PerTerminal holds records for
-// ids lo..hi−1 and Events counts sub-slot events only (the caller adds
-// the slot sweeps once after merging). r.shard is the shard's index,
+// columnar engine is differentially tested against. Its Metrics carry
+// only this shard's share: Terminals is hi−lo, PerTerminal holds records
+// for ids lo..hi−1 and Events counts sub-slot events only (the caller
+// adds the slot sweeps once after merging). r.shard is the shard's index,
 // used only for telemetry (progress reporting). Cancelling ctx stops the
 // run at the next slot boundary (in-flight sub-slot events still drain)
 // and returns ctx.Err().

@@ -37,41 +37,35 @@ import (
 // mobility.
 const SlotTicks = 2048
 
-// Engine selects the simulation engine implementation. All engines
-// produce bit-identical Metrics, telemetry series and histograms for every
-// configuration — the equivalence contract enforced by
-// TestFastPathEquivalence and locman's TestEngineEquivalence — so the
+// Engine selects the simulation engine implementation. Both engines
+// produce bit-identical Metrics, telemetry series and histograms for
+// every configuration — the equivalence contract enforced by
+// TestColsDESEquivalence and locman's TestEngineEquivalence — so the
 // choice is purely about speed.
 type Engine int
 
 const (
-	// EngineFast is the slot-batched fast path (the default): terminals
-	// advance slot by slot in a tight terminal-major loop that draws
-	// movement/call outcomes straight from their RNG streams, touching
+	// EngineCols is the columnar cohort engine (the default): per-terminal
+	// hot state lives in flat parallel slices walked in cache-sized
+	// cohorts, and event-free stretches are skipped with exact geometric
+	// gap-sampling (stats.EventGap) instead of per-slot draws, touching
 	// event-queue machinery only for the slots where paging, ack/retry or
-	// fault handling actually fires. See runShardFast.
-	EngineFast Engine = iota
+	// fault handling actually fires. See runShardCols.
+	EngineCols Engine = iota
 	// EngineDES is the reference event-driven engine: one discrete-event
 	// scheduler per shard sweeps the whole population every slot. It is
-	// the specification the other engines are differentially tested
+	// the specification the columnar engine is differentially tested
 	// against.
 	EngineDES
-	// EngineCols is the columnar cohort engine: per-terminal hot state
-	// lives in flat parallel slices walked in cache-sized cohorts, and
-	// event-free stretches are skipped with exact geometric gap-sampling
-	// (stats.EventGap) instead of per-slot draws. See runShardCols.
-	EngineCols
 )
 
 // String names the engine.
 func (e Engine) String() string {
 	switch e {
-	case EngineFast:
-		return "fast"
-	case EngineDES:
-		return "des"
 	case EngineCols:
 		return "cols"
+	case EngineDES:
+		return "des"
 	default:
 		return fmt.Sprintf("Engine(%d)", int(e))
 	}
@@ -79,15 +73,21 @@ func (e Engine) String() string {
 
 // EngineNames lists the names EngineByName resolves, in resolution
 // order; CLI help strings and error messages are built from this single
-// list so they can never drift from the parser.
+// list so they can never drift from the parser. The legacy alias
+// "fast" is accepted but not listed.
 func EngineNames() []string {
-	return []string{EngineFast.String(), EngineDES.String(), EngineCols.String()}
+	return []string{EngineCols.String(), EngineDES.String()}
 }
 
-// EngineByName resolves an engine name, for CLI flags. The error for an
-// unknown name enumerates every valid one.
+// EngineByName resolves an engine name, for CLI flags. "fast", the
+// name of the slot-batched engine the columnar engine replaced, resolves
+// to EngineCols, so stored specs, journals and scripts that name it keep
+// loading. The error for an unknown name enumerates every valid one.
 func EngineByName(name string) (Engine, error) {
-	for _, e := range []Engine{EngineFast, EngineDES, EngineCols} {
+	if name == "fast" {
+		return EngineCols, nil
+	}
+	for _, e := range []Engine{EngineCols, EngineDES} {
 		if name == e.String() {
 			return e, nil
 		}
@@ -146,8 +146,8 @@ type Config struct {
 	// (Seed, i) — never on the population size ordering or the shard
 	// partition (see RunSharded).
 	Seed uint64
-	// Engine selects the simulation engine. The zero value is EngineFast,
-	// the slot-batched fast path; EngineDES selects the reference
+	// Engine selects the simulation engine. The zero value is EngineCols,
+	// the columnar cohort engine; EngineDES selects the reference
 	// event-driven engine. Both produce bit-identical results.
 	Engine Engine
 }

@@ -11,7 +11,7 @@ package stats
 // simulator is built on: every engine must consume the exact same draw
 // at the exact same stream position so that results are bit-identical
 // across engines and shard counts (see stats.SubStream and
-// sim.TestFastPathEquivalence).
+// sim.TestColsDESEquivalence).
 //
 // These primitives therefore sample the geometric gap by running the
 // per-slot threshold scan itself — one BernoulliT draw (or one

@@ -65,9 +65,9 @@ func TestSubStreamUniformity(t *testing.T) {
 	}
 }
 
-// TestSubStreamInterleavingInvariance pins the contract the fast-path
+// TestSubStreamInterleavingInvariance pins the contract the columnar
 // engine rests on: a stream's draw sequence depends only on (seed, id),
-// never on how draws on sibling streams interleave with it. The fast
+// never on how draws on sibling streams interleave with it. The columnar
 // engine iterates terminals in a completely different order than the
 // event-driven engine, so any cross-stream coupling would break their
 // bit-identity.

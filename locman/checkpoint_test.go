@@ -14,7 +14,7 @@ import (
 // slot boundaries — the one event species a checkpoint must serialize),
 // and a telemetry cadence that divides neither the run length nor the
 // checkpoint cadence, so frame and checkpoint boundaries interleave
-// mid-batch for the batched engines.
+// mid-batch for the columnar engine.
 func checkpointConfig(engine Engine) NetworkConfig {
 	return NetworkConfig{
 		Config: Config{
@@ -61,7 +61,7 @@ func TestCheckpointResumeEquivalence(t *testing.T) {
 	// reoptimization period, nor the 1500-slot run: checkpoints land at
 	// 611 and 1222, both mid-batch from every other boundary's view.
 	const every = 611
-	engines := []Engine{EngineDES, EngineFast, EngineCols}
+	engines := []Engine{EngineDES, EngineCols}
 	shardCounts := []int{1, 3, 7}
 
 	report := func(t *testing.T, m *NetworkMetrics) []byte {
@@ -128,63 +128,73 @@ func TestCheckpointResumeEquivalence(t *testing.T) {
 	}
 }
 
-// TestCheckpointCrossEngineResume checks the engine-class contract: the
-// batch engines (fast, cols) share a checkpoint representation, so a
-// checkpoint taken by one resumes on the other with byte-identical
-// results, while the reference engine's representation is its own class
-// and cross-class resume is rejected rather than silently diverging.
+// TestCheckpointCrossEngineResume checks the engine-class contract on
+// stored checkpoints. Checkpoints gob-encode Engine as an integer, and
+// those written while the retired slot-batched engine existed carry 0
+// (that engine) or 2 (the columnar engine's number then). Both hold
+// batch-engine state: a columnar checkpoint re-stamped with either value
+// and round-tripped through the wire format must resume on the columnar
+// engine byte-identical to the uninterrupted run, while the reference
+// engine, whose representation is its own class, must refuse it rather
+// than silently diverge.
 func TestCheckpointCrossEngineResume(t *testing.T) {
 	const every = 611
 	const shards = 3
-
-	capture := func(t *testing.T, engine Engine) (*Checkpoint, []byte) {
-		t.Helper()
-		cfg := checkpointConfig(engine)
-		var cp *Checkpoint
-		m, err := SimulateNetworkCheckpointed(context.Background(),
-			cfg, checkpointSlots, shards, every, func(c *Checkpoint) {
-				if c.Slot == every {
-					data, err := EncodeCheckpoint(c)
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					cp, err = DecodeCheckpoint(data)
-					if err != nil {
-						t.Error(err)
-					}
+	cfg := checkpointConfig(EngineCols)
+	var cp *Checkpoint
+	m, err := SimulateNetworkCheckpointed(context.Background(),
+		cfg, checkpointSlots, shards, every, func(c *Checkpoint) {
+			if c.Slot == every {
+				data, err := EncodeCheckpoint(c)
+				if err != nil {
+					t.Error(err)
+					return
 				}
-			})
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := json.MarshalIndent(NewReport(m), "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return cp, b
-	}
-
-	fastCP, want := capture(t, EngineFast)
-
-	colsCfg := checkpointConfig(EngineCols)
-	resumed, err := ResumeNetworkCheckpointed(context.Background(),
-		colsCfg, checkpointSlots, shards, fastCP, 0, nil)
-	if err != nil {
-		t.Fatalf("cols resume of fast checkpoint: %v", err)
-	}
-	got, err := json.MarshalIndent(NewReport(resumed), "", "  ")
+				cp, err = DecodeCheckpoint(data)
+				if err != nil {
+					t.Error(err)
+				}
+			}
+		})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("cols resume of a fast checkpoint diverged:\n%s\nreference:\n%s", got, want)
+	want, err := json.MarshalIndent(NewReport(m), "", "  ")
+	if err != nil {
+		t.Fatal(err)
 	}
 
-	desCfg := checkpointConfig(EngineDES)
-	if _, err := ResumeNetworkCheckpointed(context.Background(),
-		desCfg, checkpointSlots, shards, fastCP, 0, nil); err == nil {
-		t.Error("resuming a batch-engine checkpoint on the reference engine should fail")
+	for _, legacy := range []Engine{0, 2} {
+		stamped := *cp
+		stamped.Engine = legacy
+		data, err := EncodeCheckpoint(&stamped)
+		if err != nil {
+			t.Fatal(err)
+		}
+		old, err := DecodeCheckpoint(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if old.Engine != legacy {
+			t.Fatalf("engine %d decoded as %d", int(legacy), int(old.Engine))
+		}
+		resumed, err := ResumeNetworkCheckpointed(context.Background(),
+			cfg, checkpointSlots, shards, old, 0, nil)
+		if err != nil {
+			t.Fatalf("cols resume of an engine-%d checkpoint: %v", int(legacy), err)
+		}
+		got, err := json.MarshalIndent(NewReport(resumed), "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("cols resume of an engine-%d checkpoint diverged:\n%s\nreference:\n%s",
+				int(legacy), got, want)
+		}
+		if _, err := ResumeNetworkCheckpointed(context.Background(),
+			checkpointConfig(EngineDES), checkpointSlots, shards, old, 0, nil); err == nil {
+			t.Errorf("the reference engine resumed an engine-%d batch checkpoint", int(legacy))
+		}
 	}
 }
 
@@ -193,7 +203,7 @@ func TestCheckpointCrossEngineResume(t *testing.T) {
 // bytes. shards == 0 adopts the checkpoint's own partition.
 func TestCheckpointResumeValidation(t *testing.T) {
 	const every = 611
-	cfg := checkpointConfig(EngineFast)
+	cfg := checkpointConfig(EngineCols)
 	var cp *Checkpoint
 	var raw []byte
 	if _, err := SimulateNetworkCheckpointed(context.Background(),

@@ -90,7 +90,7 @@ func TestGoldenDistanceReport(t *testing.T) {
 	for name, cfg := range goldenConfigs() {
 		t.Run(name, func(t *testing.T) {
 			path := filepath.Join("testdata", "golden_"+name+".json")
-			got := goldenReport(t, cfg, EngineFast, 3)
+			got := goldenReport(t, cfg, EngineCols, 3)
 			if *updateGolden {
 				if err := os.WriteFile(path, got, 0o644); err != nil {
 					t.Fatal(err)
@@ -102,7 +102,7 @@ func TestGoldenDistanceReport(t *testing.T) {
 				t.Fatalf("missing fixture (run with -update to create): %v", err)
 			}
 			if !bytes.Equal(got, want) {
-				t.Errorf("fast-engine report diverged from pre-refactor fixture %s:\ngot:\n%s\nwant:\n%s",
+				t.Errorf("cols-engine report diverged from pre-refactor fixture %s:\ngot:\n%s\nwant:\n%s",
 					path, got, want)
 			}
 			for _, e := range []Engine{EngineDES, EngineCols} {

@@ -49,11 +49,11 @@ func buildReport(t *testing.T) *Report {
 	return NewReport(m)
 }
 
-// TestReportEngineEquivalence is the public-API face of the fast path's
-// bit-identity contract: the full Report JSON — counters, costs,
+// TestReportEngineEquivalence is the public-API face of the columnar
+// engine's bit-identity contract: the full Report JSON — counters, costs,
 // histograms, telemetry snapshot series — is byte-identical whichever
-// engine produced it. (TestReportGolden already pins the fast engine, the
-// default, against the checked-in golden document.)
+// engine produced it. (TestReportGolden already pins the columnar engine,
+// the default, against the checked-in golden document.)
 func TestReportEngineEquivalence(t *testing.T) {
 	marshal := func(e Engine) []byte {
 		t.Helper()
@@ -69,10 +69,7 @@ func TestReportEngineEquivalence(t *testing.T) {
 		}
 		return b
 	}
-	fast, des, cols := marshal(EngineFast), marshal(EngineDES), marshal(EngineCols)
-	if !bytes.Equal(fast, des) {
-		t.Errorf("report JSON diverged between engines\nfast:\n%s\ndes:\n%s", fast, des)
-	}
+	des, cols := marshal(EngineDES), marshal(EngineCols)
 	if !bytes.Equal(cols, des) {
 		t.Errorf("report JSON diverged between engines\ncols:\n%s\ndes:\n%s", cols, des)
 	}
