@@ -184,6 +184,8 @@ func TestSubcommands(t *testing.T) {
 		{[]string{"-addr", url}, "missing command"},
 		{[]string{"-addr", url, "submit", "-terminals", "0"}, "terminals"},
 		{[]string{"-addr", url, "submit", "-outage", "bogus"}, "start:end"},
+		// Rejected by the client before posting, in flag syntax.
+		{[]string{"-addr", url, "submit", "-outage", "5:1"}, `outage window "5:1" is inverted or empty`},
 		{[]string{"-addr", url, "submit", "-scheme", "psychic"}, "unknown update scheme"},
 		{[]string{"-addr", url, "submit", "-scheme", "timer"}, "timer scheme period"},
 		{[]string{"-addr", url, "submit", "-scenario", "rush-hour"}, "unknown scenario"},

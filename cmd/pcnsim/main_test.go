@@ -1,82 +1,122 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"flag"
+	"fmt"
 	"strings"
 	"testing"
 
+	"repro/internal/jobs"
 	"repro/locman"
 )
 
+// runArgs drives the pcnsim entry point with a tiny run shape appended.
+func runArgs(args ...string) (string, error) {
+	var stdout, stderr bytes.Buffer
+	args = append(args, "-terminals", "3", "-slots", "200", "-shards", "1", "-json")
+	err := run(args, &stdout, &stderr)
+	return stdout.String(), err
+}
+
+// TestParseOutages checks pcnsim's -outage reaches jobs.ParseOutages:
+// every window it accepts runs, and every one it rejects stops pcnsim
+// with its error before any simulation.
 func TestParseOutages(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		in   string
-		want []locman.Outage
-		err  string
-	}{
-		{"single", "100:200", []locman.Outage{{Start: 100, End: 200}}, ""},
-		{"multiple", "100:200,5000:5500",
-			[]locman.Outage{{Start: 100, End: 200}, {Start: 5000, End: 5500}}, ""},
-		{"spaces", " 1 : 2 ", []locman.Outage{{Start: 1, End: 2}}, ""},
-		{"zero start", "0:10", []locman.Outage{{Start: 0, End: 10}}, ""},
-		{"no colon", "100", nil, "not start:end"},
-		{"garbage start", "x:200", nil, "invalid syntax"},
-		{"garbage end", "100:y", nil, "invalid syntax"},
-		{"inverted", "200:100", nil, "inverted or empty"},
-		{"empty window", "100:100", nil, "inverted or empty"},
-		{"negative start", "-5:10", nil, "negative slot"},
-		{"negative both", "-10:-5", nil, "negative slot"},
-		{"bad second window", "100:200,300:250", nil, "inverted or empty"},
+	for _, tc := range []struct{ name, in string }{
+		{"single", "100:200"},
+		{"multiple", "100:200,5000:5500"},
+		{"spaces", " 1 : 2 "},
+		{"zero start", "0:10"},
+		{"no colon", "100"},
+		{"garbage start", "x:200"},
+		{"garbage end", "100:y"},
+		{"inverted", "200:100"},
+		{"empty window", "100:100"},
+		{"negative start", "-5:10"},
+		{"negative both", "-10:-5"},
+		{"bad second window", "100:200,300:250"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			got, err := parseOutages(tc.in)
-			if tc.err != "" {
-				if err == nil || !strings.Contains(err.Error(), tc.err) {
-					t.Fatalf("err = %v, want containing %q", err, tc.err)
-				}
-				return
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != len(tc.want) {
-				t.Fatalf("got %v, want %v", got, tc.want)
-			}
-			for i := range got {
-				if got[i] != tc.want[i] {
-					t.Errorf("window %d = %v, want %v", i, got[i], tc.want[i])
-				}
+			_, want := jobs.ParseOutages(tc.in)
+			_, err := runArgs("-outage", tc.in)
+			if fmt.Sprint(err) != fmt.Sprint(want) {
+				t.Errorf("run error %v, want %v", err, want)
 			}
 		})
 	}
 }
 
-// TestScenarioFlagConflicts checks the -scenario guard: every model
-// flag is caught, in flag spelling, and the run-shape flags pass.
+// TestScenarioFlagConflicts checks the -scenario guard through the
+// command: model flags are refused by name, while the run-shape flags
+// and pcnsim's own -json pass.
 func TestScenarioFlagConflicts(t *testing.T) {
-	if got := scenarioFlagConflicts(map[string]bool{}); len(got) != 0 {
-		t.Errorf("empty set conflicts: %v", got)
+	_, err := runArgs("-scenario", "baseline", "-q", "0.3", "-hetero")
+	if want := "conflicting flag(s): -q, -hetero"; err == nil || !strings.HasSuffix(err.Error(), want) {
+		t.Errorf("err = %v, want suffix %q", err, want)
 	}
-	runShape := map[string]bool{
-		"terminals": true, "slots": true, "seed": true, "shards": true,
-		"engine": true, "telemetry-every": true, "d": true, "json": true,
+	if _, err := runArgs("-scenario", "baseline", "-seed", "2", "-engine", "des",
+		"-telemetry-every", "50", "-d", "2"); err != nil {
+		t.Errorf("run-shape flags refused: %v", err)
 	}
-	if got := scenarioFlagConflicts(runShape); len(got) != 0 {
-		t.Errorf("run-shape flags reported as conflicts: %v", got)
-	}
-	model := map[string]bool{"q": true, "scheme": true, "hetero": true, "outage": true}
-	got := scenarioFlagConflicts(model)
-	want := []string{"-q", "-hetero", "-scheme", "-outage"}
-	if len(got) != len(want) {
-		t.Fatalf("conflicts = %v, want %v", got, want)
-	}
-	for _, w := range want {
-		found := false
-		for _, g := range got {
-			found = found || g == w
+}
+
+// TestRunValidatesSpec holds pcnsim to the job service's validation: a
+// Spec the service rejects is rejected here too, not clamped.
+func TestRunValidatesSpec(t *testing.T) {
+	for _, n := range []string{"0", "-5"} {
+		var stdout, stderr bytes.Buffer
+		err := run([]string{"-terminals", n, "-slots", "100"}, &stdout, &stderr)
+		if want := "terminals must be positive, got " + n; err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("-terminals %s: err = %v, want %q", n, err, want)
 		}
-		if !found {
-			t.Errorf("conflicts %v missing %s", got, w)
+		if stdout.Len() != 0 {
+			t.Errorf("-terminals %s simulated:\n%s", n, stdout.String())
+		}
+	}
+}
+
+// TestRunJSONMatchesDirect checks pcnsim -json prints exactly the
+// indented report of a direct engine run with the same configuration.
+func TestRunJSONMatchesDirect(t *testing.T) {
+	got, err := runArgs("-loss", "0.2", "-seed", "5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := locman.SimulateNetworkSharded(locman.NetworkConfig{
+		Config: locman.Config{
+			Model: locman.TwoDimensional, MoveProb: 0.05, CallProb: 0.01,
+			UpdateCost: 100, PollCost: 10, MaxDelay: 3,
+		},
+		Terminals: 3,
+		Threshold: -1,
+		Faults:    locman.FaultPlan{UpdateLoss: 0.2},
+		Seed:      5,
+	}, 200, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.MarshalIndent(locman.NewReport(m), "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want)+"\n" {
+		t.Errorf("pcnsim -json diverged from the direct run:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestRunHelp checks -h prints the usage and reports flag.ErrHelp, which
+// main turns into a clean exit.
+func TestRunHelp(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if err := run([]string{"-h"}, &stdout, &stderr); !errors.Is(err, flag.ErrHelp) {
+		t.Errorf("err = %v, want flag.ErrHelp", err)
+	}
+	for _, f := range []string{"-partition", "-reoptimize-every", "-json", "-scenarios"} {
+		if !strings.Contains(stderr.String(), f) {
+			t.Errorf("usage does not list %s", f)
 		}
 	}
 }

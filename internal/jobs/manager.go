@@ -544,9 +544,7 @@ func (m *Manager) runSpec(ctx context.Context, id string, spec Spec, prog *telem
 	}
 	report := locman.NewReport(metrics)
 	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(report); err != nil {
+	if err := locman.EncodeReport(&buf, report); err != nil {
 		return nil, nil, err
 	}
 	return report, buf.Bytes(), nil

@@ -1,6 +1,9 @@
 package locman
 
 import (
+	"encoding/json"
+	"io"
+
 	"repro/internal/telemetry"
 )
 
@@ -140,4 +143,13 @@ func NewReport(m *NetworkMetrics) *Report {
 		r.Snapshots = append([]Frame(nil), m.Snapshots...)
 	}
 	return r
+}
+
+// EncodeReport writes r in the report byte format: two-space-indented
+// JSON followed by a newline. pcnsim -json prints these bytes and the
+// job service stores them, so the two front ends compare with cmp.
+func EncodeReport(w io.Writer, r *Report) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(r)
 }
