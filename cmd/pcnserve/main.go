@@ -172,7 +172,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	httpSrv := &http.Server{Handler: srv}
+	httpSrv := newHTTPServer(srv)
 	log.Printf("serving on http://%s (%d workers, queue depth %d)",
 		ln.Addr(), *workers, *queue)
 
@@ -226,4 +226,24 @@ func main() {
 		log.Printf("http shutdown: %v", err)
 	}
 	log.Print("shutdown complete")
+}
+
+// Timeouts that bound what a slow or idle client can hold open: the
+// time to send request headers, and how long a keep-alive connection
+// may sit idle between requests.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps the API handler in the daemon's http.Server. It
+// sets no WriteTimeout (and no ReadTimeout, whose deadline also covers
+// the connection while a response is written): NDJSON job and slice
+// streams stay open for the whole run of a job.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }

@@ -98,11 +98,14 @@ func TestManagerBackfillsResultsOnRecover(t *testing.T) {
 	for _, id := range ids {
 		waitTerminal(t, m1, id)
 	}
-	const req = `{"group_by":["seed"],"aggregates":[{"op":"count"},{"op":"mean","column":"total_cost"},{"op":"p95","column":"delay_p95"}]}`
-	before := queryJSON(t, live, req)
+	// The worker ingests a done job's row after it publishes the done
+	// edge, so waitTerminal can return before the last row lands.
+	// Shutdown waits for the workers, and with them every ingest.
 	if err := m1.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+	const req = `{"group_by":["seed"],"aggregates":[{"op":"count"},{"op":"mean","column":"total_cost"},{"op":"p95","column":"delay_p95"}]}`
+	before := queryJSON(t, live, req)
 
 	// Second life: empty in-memory store, rows rebuilt from the journal.
 	rebuilt := results.NewStore()

@@ -340,13 +340,16 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("jobs: invalid spec: %w", err)
 	}
 	// The embedded Config.Validate covers the average-view parameters
-	// only; check the population and scheme constraints the engine would
-	// otherwise reject at start-of-run, so a Spec that validates here is
-	// guaranteed to start simulating.
+	// only; check the population, fault and scheme constraints the
+	// engine would otherwise reject at start-of-run, so a Spec that
+	// validates here is guaranteed to start simulating.
 	if cfg.Fleet != nil {
 		if err := cfg.Fleet.Validate(); err != nil {
 			return fmt.Errorf("jobs: invalid spec: %w", err)
 		}
+	}
+	if err := cfg.Faults.Validate(); err != nil {
+		return fmt.Errorf("jobs: invalid spec: %w", err)
 	}
 	if cfg.Dynamic && cfg.Scheme != nil && cfg.Scheme.Name() != "distance" {
 		return fmt.Errorf("jobs: invalid spec: the dynamic per-user mechanism requires the distance update scheme (got %s)", cfg.Scheme.Name())

@@ -107,6 +107,37 @@ func TestSpecValidate(t *testing.T) {
 			*s = Spec{Scenario: "flash-crowd", Terminals: 10, Slots: 1_000,
 				Faults: &FaultSpec{UpdateLoss: 0.1}}
 		}, "drop the conflicting field(s): faults"},
+		{"faults valid", func(s *Spec) {
+			s.Faults = &FaultSpec{UpdateLoss: 0.1, PollLoss: 0.05, ReplyLoss: 0.05,
+				UpdateRetries: 3, Outages: []OutageSpec{{Start: 100, End: 200}}}
+		}, ""},
+		// -1 is the ExplicitZero sentinel: a literal zero after defaults.
+		{"faults explicit zero recovery", func(s *Spec) {
+			s.Faults = &FaultSpec{AckTimeout: -1, PageRetries: -1}
+		}, ""},
+		{"faults update loss above one", func(s *Spec) { s.Faults = &FaultSpec{UpdateLoss: 1.5} },
+			"update loss probability 1.5 outside [0,1)"},
+		{"faults negative poll loss", func(s *Spec) { s.Faults = &FaultSpec{PollLoss: -0.1} },
+			"poll loss probability -0.1 outside [0,1)"},
+		{"faults certain reply loss", func(s *Spec) { s.Faults = &FaultSpec{ReplyLoss: 1} },
+			"reply loss probability 1 outside [0,1)"},
+		{"faults negative retries", func(s *Spec) { s.Faults = &FaultSpec{UpdateRetries: -1} },
+			"negative update retry budget -1"},
+		{"faults retry overflow", func(s *Spec) { s.Faults = &FaultSpec{UpdateRetries: 33} },
+			"update retry budget 33 exceeds 32"},
+		{"faults acked with zero timeout", func(s *Spec) {
+			s.Faults = &FaultSpec{UpdateRetries: 2, AckTimeout: -1}
+		}, "ack timeout 0 with update retries 2"},
+		{"faults negative ack timeout", func(s *Spec) { s.Faults = &FaultSpec{AckTimeout: -5} },
+			"ack timeout -5 ticks must not be negative"},
+		{"faults negative page retries", func(s *Spec) { s.Faults = &FaultSpec{PageRetries: -3} },
+			"negative paging retry budget -3"},
+		{"faults inverted outage", func(s *Spec) {
+			s.Faults = &FaultSpec{Outages: []OutageSpec{{Start: 10, End: 20}, {Start: 500, End: 400}}}
+		}, "outage window 1 is inverted or empty: [500, 400)"},
+		{"faults outage before slot zero", func(s *Spec) {
+			s.Faults = &FaultSpec{Outages: []OutageSpec{{Start: -1, End: 5}}}
+		}, "outage window 0 starts at negative slot -1"},
 		{"scenario vs dynamic", func(s *Spec) {
 			*s = Spec{Scenario: "baseline", Terminals: 10, Slots: 1_000, Dynamic: true}
 		}, "drop the conflicting field(s): dynamic"},
@@ -287,6 +318,10 @@ func FuzzSpecValidate(f *testing.F) {
 		`{"fleet":{"groups":[{"move_prob":0.9,"call_prob":0.4,"q_jitter":2}]},"terminals":5,"slots":100}`,
 		`{"dynamic":true,"scheme":"timer","scheme_param":9,"terminals":5,"slots":100}`,
 		`{"move_prob":1e308,"call_prob":1e308,"terminals":1,"slots":1}`,
+		`{"move_prob":0.05,"call_prob":0.01,"update_cost":100,"poll_cost":10,"max_delay":3,"terminals":10,"slots":1000,"faults":{"update_loss":0.1,"poll_loss":0.05,"reply_loss":0.05,"update_retries":3,"ack_timeout":8,"page_retries":2,"outages":[{"start":100,"end":200}]}}`,
+		`{"move_prob":0.05,"call_prob":0.01,"update_cost":100,"poll_cost":10,"max_delay":3,"terminals":10,"slots":1000,"faults":{"update_loss":1.5}}`,
+		`{"move_prob":0.05,"call_prob":0.01,"update_cost":100,"poll_cost":10,"max_delay":3,"terminals":10,"slots":1000,"faults":{"update_retries":2,"ack_timeout":-1,"page_retries":-1}}`,
+		`{"move_prob":0.05,"call_prob":0.01,"update_cost":100,"poll_cost":10,"max_delay":3,"terminals":10,"slots":1000,"faults":{"outages":[{"start":500,"end":400}]}}`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
@@ -306,6 +341,9 @@ func FuzzSpecValidate(f *testing.F) {
 		}
 		if err := cfg.Validate(); err != nil {
 			t.Fatalf("spec validated but config re-validation failed: %v", err)
+		}
+		if err := cfg.Faults.Validate(); err != nil {
+			t.Fatalf("spec validated but its fault plan is malformed: %v", err)
 		}
 	})
 }

@@ -326,6 +326,35 @@ func TestServerStreamLive(t *testing.T) {
 	}
 }
 
+// TestServerRejectsMalformedFaultPlan: a spec whose fault plan the
+// engine would refuse at start-of-run is refused at submit with a 400
+// naming the fault, and no job is created.
+func TestServerRejectsMalformedFaultPlan(t *testing.T) {
+	srv, mgr := newTestServer(t, jobs.Options{}, Options{})
+	for _, tc := range []struct {
+		faults *jobs.FaultSpec
+		want   string
+	}{
+		{&jobs.FaultSpec{UpdateLoss: 1.5}, "update loss probability 1.5 outside [0,1)"},
+		{&jobs.FaultSpec{Outages: []jobs.OutageSpec{{Start: 500, End: 400}}},
+			"outage window 0 is inverted or empty: [500, 400)"},
+	} {
+		spec := testSpec()
+		spec.Faults = tc.faults
+		status, raw := doJSON(t, http.MethodPost, srv.URL+"/api/v1/jobs", spec)
+		if status != http.StatusBadRequest {
+			t.Errorf("faults %+v: status %d, want 400 (body %s)", *tc.faults, status, raw)
+			continue
+		}
+		if !strings.Contains(string(raw), tc.want) {
+			t.Errorf("faults %+v: body %s does not name %q", *tc.faults, raw, tc.want)
+		}
+	}
+	if n := len(mgr.List()); n != 0 {
+		t.Fatalf("%d jobs created from rejected specs, want 0", n)
+	}
+}
+
 // TestServerErrorsAndReadiness sweeps the API's edge responses: unknown
 // ids, premature results, malformed specs, and the readiness flip.
 func TestServerErrorsAndReadiness(t *testing.T) {

@@ -42,12 +42,14 @@ import (
 // Inside a terminal's event-free stretch the engine does not ask "did
 // anything happen this slot?" but "how many slots until something
 // happens?" — stats.RNG.EventGap draws the gap to the next call-or-move
-// event directly, while the generator state, position and center stay in
-// registers for the whole stretch. Cell geometry is inlined on a concrete
-// grid.Hex/grid.Line branch rather than called through the locator
-// interface: an interface call would force the register-resident RNG
-// copy to escape to the heap, and the hot loop must not allocate at any
-// population size.
+// event directly. EventGap holds the four generator words in registers
+// for its whole scan and stores them once when it returns, so a stretch
+// costs one call per event, not one per draw. Around it the stretch
+// loop keeps its copy of the generator, position and center in locals.
+// Cell geometry is inlined on a concrete grid.Hex/grid.Line branch
+// rather than called through the locator interface: an interface call
+// would force the local RNG copy to escape to the heap, and the hot
+// loop must not allocate at any population size.
 //
 // Bit-identity with the reference engine is a contract, not an accident
 // (see TestColsDESEquivalence). It rests on three facts:

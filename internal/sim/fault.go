@@ -107,6 +107,38 @@ func (f FaultPlan) covers(slot int64) bool {
 	return false
 }
 
+// withDefaults substitutes the defaults for the zero-valued recovery
+// knobs (AckTimeout, PageRetries) and folds the ExplicitZero sentinel to
+// a literal zero, so the engines and validate never see the sentinel.
+// A zero AckTimeout/PageRetries means "unset": most callers never touch
+// the recovery knobs. Applying it twice is not the identity (a folded
+// ExplicitZero reads as unset the second time), so it runs exactly once,
+// in Config.withDefaults or Validate.
+func (f FaultPlan) withDefaults() FaultPlan {
+	switch f.AckTimeout {
+	case 0:
+		f.AckTimeout = DefaultAckTimeout
+	case ExplicitZero:
+		f.AckTimeout = 0
+	}
+	switch f.PageRetries {
+	case 0:
+		f.PageRetries = DefaultPageRetries
+	case ExplicitZero:
+		f.PageRetries = 0
+	}
+	return f
+}
+
+// Validate rejects a malformed fault plan before any run starts: it
+// applies the defaults and runs the same checks a run applies, so a plan
+// that passes here is not rejected for its own fields at start-of-run.
+// (The paging tick budget, which also depends on MaxThreshold, is a
+// Config-level check.)
+func (f FaultPlan) Validate() error {
+	return f.withDefaults().validate()
+}
+
 // validate rejects malformed fault plans; f must already carry its
 // defaults.
 func (f FaultPlan) validate() error {

@@ -165,22 +165,7 @@ func (c Config) withDefaults() Config {
 	if c.MaxThreshold == 0 {
 		c.MaxThreshold = 50
 	}
-	// A zero AckTimeout/PageRetries means "unset": most callers never
-	// touch the recovery knobs. Callers that genuinely want zero say so
-	// with the ExplicitZero sentinel, which is folded to a literal zero
-	// here so the engines and validation never see the sentinel.
-	switch c.Faults.AckTimeout {
-	case 0:
-		c.Faults.AckTimeout = DefaultAckTimeout
-	case ExplicitZero:
-		c.Faults.AckTimeout = 0
-	}
-	switch c.Faults.PageRetries {
-	case 0:
-		c.Faults.PageRetries = DefaultPageRetries
-	case ExplicitZero:
-		c.Faults.PageRetries = 0
-	}
+	c.Faults = c.Faults.withDefaults()
 	return c
 }
 

@@ -13,32 +13,19 @@ package stats
 // across engines and shard counts (see stats.SubStream and
 // sim.TestColsDESEquivalence).
 //
-// These primitives therefore sample the geometric gap by running the
-// per-slot threshold scan itself — one BernoulliT draw (or one
-// call-draw/move-draw pair) per slot, in the caller's exact draw order —
-// and returning how far the scan got. Equivalence with the scalar loop
-// is by construction, not approximation: the loop bodies below are the
-// scalar engine's per-slot draws verbatim, so the generator state after
-// a gap-sampled stretch equals the state after the same stretch of
-// scalar draws, position for position (property-tested and fuzzed in
-// gap_test.go). What the restructuring buys is the caller's side: the
-// per-slot branch-and-return dance collapses into one call that keeps
-// the generator state in registers for the whole stretch.
-
-// GapSample scans for the next success of a Bernoulli sequence with the
-// precomputed integer threshold t (see BernoulliThreshold), consuming
-// one draw per slot exactly like a BernoulliT-per-slot loop. It returns
-// the number of failure slots consumed before the success. When no
-// success occurs within limit slots it stops having consumed exactly
-// limit draws and returns (limit, false).
-func (r *RNG) GapSample(t uint64, limit int64) (gap int64, hit bool) {
-	for gap = 0; gap < limit; gap++ {
-		if r.BernoulliT(t) {
-			return gap, true
-		}
-	}
-	return limit, false
-}
+// EventGap therefore samples the geometric gap by running the per-slot
+// threshold scan itself — one call draw and, on a miss, one move draw
+// per slot, in the caller's exact draw order — and returns how far the
+// scan got. Equivalence with the scalar loop is by construction, not
+// approximation: each draw is the xoshiro256** step next, the same one
+// Uint64 takes, compared against the same BernoulliT threshold, so the
+// generator state after a gap-sampled stretch equals the state after
+// the same stretch of scalar draws, position for position
+// (property-tested and fuzzed in gap_test.go). What the restructuring
+// buys is speed: EventGap loads the four state words into locals once,
+// expands next inline for every draw, and stores the state back once
+// when the scan ends, so a whole stretch runs without a call or a
+// memory round trip per draw.
 
 // EventGap scans for the next slot in which either of two ordered
 // Bernoulli events fires: each slot draws against first, and only on a
@@ -54,13 +41,20 @@ func (r *RNG) GapSample(t uint64, limit int64) (gap int64, hit bool) {
 // it up (the direction draw of a move, the loss draws of a paging
 // chain).
 func (r *RNG) EventGap(first, second uint64, limit int64) (gap int64, firstHit, hit bool) {
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	var u uint64
 	for gap = 0; gap < limit; gap++ {
-		if r.BernoulliT(first) {
+		u, s0, s1, s2, s3 = next(s0, s1, s2, s3)
+		if u>>11 < first {
+			r.s = [4]uint64{s0, s1, s2, s3}
 			return gap, true, true
 		}
-		if r.BernoulliT(second) {
+		u, s0, s1, s2, s3 = next(s0, s1, s2, s3)
+		if u>>11 < second {
+			r.s = [4]uint64{s0, s1, s2, s3}
 			return gap, false, true
 		}
 	}
+	r.s = [4]uint64{s0, s1, s2, s3}
 	return limit, false, false
 }

@@ -2,17 +2,6 @@ package stats
 
 import "testing"
 
-// scanGap is the scalar reference: a BernoulliT-per-slot loop returning
-// the failure count before the first success, capped at limit.
-func scanGap(r *RNG, t uint64, limit int64) (int64, bool) {
-	for gap := int64(0); gap < limit; gap++ {
-		if r.BernoulliT(t) {
-			return gap, true
-		}
-	}
-	return limit, false
-}
-
 // scanEventGap is the scalar reference for the two-event scan in the
 // slot sweep's draw order: first draw, and only on failure the second.
 func scanEventGap(r *RNG, first, second uint64, limit int64) (int64, bool, bool) {
@@ -27,24 +16,12 @@ func scanEventGap(r *RNG, first, second uint64, limit int64) (int64, bool, bool)
 	return limit, false, false
 }
 
-// checkGapCase asserts both primitives agree with their scalar
-// references on result and — the positional contract — on the exact
-// generator state left behind.
+// checkGapCase asserts EventGap agrees with its scalar reference on
+// result and — the positional contract — on the exact generator state
+// left behind.
 func checkGapCase(t *testing.T, seed, t1, t2 uint64, limit int64) {
 	t.Helper()
 	ref, got := NewRNG(seed), NewRNG(seed)
-	wantGap, wantHit := scanGap(ref, t1, limit)
-	gap, hit := got.GapSample(t1, limit)
-	if gap != wantGap || hit != wantHit {
-		t.Fatalf("GapSample(t=%d, limit=%d) seed %d = (%d, %v), scalar scan = (%d, %v)",
-			t1, limit, seed, gap, hit, wantGap, wantHit)
-	}
-	if ref.s != got.s {
-		t.Fatalf("GapSample(t=%d, limit=%d) seed %d left state %v, scalar scan %v",
-			t1, limit, seed, got.s, ref.s)
-	}
-
-	ref, got = NewRNG(seed), NewRNG(seed)
 	wantGap, wantFirst, wantHit := scanEventGap(ref, t1, t2, limit)
 	gap, first, hit := got.EventGap(t1, t2, limit)
 	if gap != wantGap || first != wantFirst || hit != wantHit {
@@ -77,6 +54,27 @@ func TestGapSamplePositionalEquivalence(t *testing.T) {
 		limit := int64(meta.Intn(300))
 		checkGapCase(t, seed, t1, t2, limit)
 	}
+	// Long limits, up to the cols engine's cancellation-check stretch
+	// (sim.ctxCheckSlots = 1<<16), on thresholds small enough that the
+	// scan can run out its budget.
+	for _, limit := range []int64{1 << 16, 1 << 20} {
+		for seed := uint64(0); seed < 4; seed++ {
+			checkGapCase(t, seed, BernoulliThreshold(0.01), BernoulliThreshold(0.05), limit)
+			checkGapCase(t, seed, BernoulliThreshold(1e-7), BernoulliThreshold(1e-7), limit)
+			checkGapCase(t, seed, 0, 0, limit)
+		}
+	}
+}
+
+// TestEventGapDoesNotAllocate pins the hot-loop contract: the cols
+// engine calls EventGap once per event, and a heap escape of the
+// generator here would allocate at every terminal-slot batch.
+func TestEventGapDoesNotAllocate(t *testing.T) {
+	r := NewRNG(1)
+	callT, moveT := BernoulliThreshold(0.01), BernoulliThreshold(0.05)
+	if n := testing.AllocsPerRun(1000, func() { r.EventGap(callT, moveT, 1<<20) }); n != 0 {
+		t.Fatalf("EventGap allocates %v times per call, want 0", n)
+	}
 }
 
 // TestGapSampleEdgeThresholds pins the degenerate thresholds: p=0 must
@@ -93,11 +91,11 @@ func TestGapSampleEdgeThresholds(t *testing.T) {
 
 	r := NewRNG(7)
 	before := r.s
-	if gap, hit := r.GapSample(0, 0); gap != 0 || hit {
-		t.Fatalf("GapSample(0, 0) = (%d, %v), want (0, false)", gap, hit)
+	if gap, first, hit := r.EventGap(1<<53, 1<<53, 0); gap != 0 || first || hit {
+		t.Fatalf("EventGap(1<<53, 1<<53, 0) = (%d, %v, %v), want (0, false, false)", gap, first, hit)
 	}
 	if r.s != before {
-		t.Fatal("GapSample with limit 0 consumed draws")
+		t.Fatal("EventGap with limit 0 consumed draws")
 	}
 }
 
@@ -120,7 +118,7 @@ func TestSeedSubStreamMatchesSubStream(t *testing.T) {
 	}
 }
 
-// FuzzGapSample fuzzes the positional-equivalence property over
+// FuzzGapSample fuzzes EventGap's positional-equivalence property over
 // arbitrary seeds, thresholds and limits.
 func FuzzGapSample(f *testing.F) {
 	f.Add(uint64(1), uint64(0), uint64(0), int64(16))
@@ -140,4 +138,22 @@ func FuzzGapSample(f *testing.F) {
 		limit %= 4096
 		checkGapCase(t, seed, t1, t2, limit)
 	})
+}
+
+// benchSink keeps benchmarked results alive.
+var benchSink uint64
+
+// BenchmarkEventGap times EventGap at the paper's thresholds, c = 0.01
+// (call, drawn first) and q = 0.05 (move), and reports the cost per
+// scanned slot alongside the per-call time.
+func BenchmarkEventGap(b *testing.B) {
+	r := NewRNG(1)
+	callT, moveT := BernoulliThreshold(0.01), BernoulliThreshold(0.05)
+	var slots int64
+	for i := 0; i < b.N; i++ {
+		gap, _, _ := r.EventGap(callT, moveT, 1<<20)
+		slots += gap + 1
+	}
+	benchSink = uint64(slots)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(slots), "ns/slot")
 }

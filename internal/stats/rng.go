@@ -35,17 +35,29 @@ func NewRNG(seed uint64) *RNG {
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
+// next is the one xoshiro256** step: it returns the output for state
+// (s0, s1, s2, s3) and the advanced state. It works on four words in
+// locals rather than on *RNG so that it stays under the inliner's
+// budget: Uint64 and EventGap both expand it in place, and a loop that
+// holds the state in locals (EventGap) pays no call and no memory
+// round trip per draw.
+func next(s0, s1, s2, s3 uint64) (out, n0, n1, n2, n3 uint64) {
+	out = rotl(s1*5, 7) * 9
+	t := s1 << 17
+	s2 ^= s0
+	s3 ^= s1
+	s1 ^= s2
+	s0 ^= s3
+	s2 ^= t
+	s3 = rotl(s3, 45)
+	return out, s0, s1, s2, s3
+}
+
 // Uint64 returns the next 64 random bits.
 func (r *RNG) Uint64() uint64 {
-	result := rotl(r.s[1]*5, 7) * 9
-	t := r.s[1] << 17
-	r.s[2] ^= r.s[0]
-	r.s[3] ^= r.s[1]
-	r.s[1] ^= r.s[2]
-	r.s[0] ^= r.s[3]
-	r.s[2] ^= t
-	r.s[3] = rotl(r.s[3], 45)
-	return result
+	out, s0, s1, s2, s3 := next(r.s[0], r.s[1], r.s[2], r.s[3])
+	r.s = [4]uint64{s0, s1, s2, s3}
+	return out
 }
 
 // Float64 returns a uniform value in [0, 1).
@@ -58,16 +70,18 @@ func (r *RNG) Intn(n int) int {
 	if n <= 0 {
 		panic("stats: Intn with non-positive n")
 	}
-	// Lemire's nearly-divisionless bounded generation would be overkill;
-	// rejection sampling over the top 53 bits keeps it simple and unbiased
-	// for the small n used here.
+	// Rejection sampling over the full 64 bits: draws below
+	// 2^64 mod n are rejected, which leaves a whole number of copies of
+	// [0, n) to reduce. That threshold is always below n, so a draw of
+	// at least n is accepted without computing it — the common path
+	// for the small n used here pays one division, not two.
 	bound := uint64(n)
-	threshold := (math.MaxUint64 - bound + 1) % bound
 	for {
 		v := r.Uint64()
-		if v >= threshold {
-			return int(v % bound)
+		if v < bound && v < -bound%bound {
+			continue
 		}
+		return int(v % bound)
 	}
 }
 

@@ -283,6 +283,84 @@ func TestRNGIntnPanics(t *testing.T) {
 	NewRNG(1).Intn(0)
 }
 
+// refUint64 is the textbook in-place xoshiro256** step, the reference
+// that Uint64 and the four-word kernel next must match.
+func refUint64(s *[4]uint64) uint64 {
+	result := rotl(s[1]*5, 7) * 9
+	t := s[1] << 17
+	s[2] ^= s[0]
+	s[3] ^= s[1]
+	s[1] ^= s[2]
+	s[0] ^= s[3]
+	s[2] ^= t
+	s[3] = rotl(s[3], 45)
+	return result
+}
+
+func TestUint64MatchesInPlaceStep(t *testing.T) {
+	for _, seed := range []uint64{0, 1, 42, ^uint64(0)} {
+		r := NewRNG(seed)
+		ref := r.s
+		for i := 0; i < 10_000; i++ {
+			if got, want := r.Uint64(), refUint64(&ref); got != want || r.s != ref {
+				t.Fatalf("seed %d draw %d: Uint64 = %d state %v, reference %d state %v",
+					seed, i, got, r.s, want, ref)
+			}
+		}
+	}
+}
+
+// refIntn is Intn's two-division form: the rejection threshold
+// 2^64 mod n is computed before every draw.
+func refIntn(r *RNG, n int) int {
+	bound := uint64(n)
+	threshold := (math.MaxUint64 - bound + 1) % bound
+	for {
+		v := r.Uint64()
+		if v >= threshold {
+			return int(v % bound)
+		}
+	}
+}
+
+// TestIntnMatchesTwoDivisionForm runs Intn and its two-division
+// reference on the same stream: outputs and the generator state after
+// every call must agree, including at n = 2^62+1, where about a quarter
+// of draws fall below the threshold and are rejected.
+func TestIntnMatchesTwoDivisionForm(t *testing.T) {
+	for _, n := range []int{1, 2, 6, 1000, 1<<62 + 1} {
+		a, b := NewRNG(uint64(n)), NewRNG(uint64(n))
+		rejected := 0
+		for i := 0; i < 20_000; i++ {
+			before := b.s
+			got, want := a.Intn(n), refIntn(b, n)
+			if got != want || a.s != b.s {
+				t.Fatalf("n=%d call %d: Intn = %d state %v, reference %d state %v",
+					n, i, got, a.s, want, b.s)
+			}
+			// More than one draw consumed means a draw was rejected.
+			oneDraw := before
+			refUint64(&oneDraw)
+			if oneDraw != b.s {
+				rejected++
+			}
+		}
+		if n == 1<<62+1 && rejected == 0 {
+			t.Fatalf("n=%d: no call rejected a draw; the rejection path went untested", n)
+		}
+	}
+}
+
+// BenchmarkIntn times the direction draw of a 2-D move, Intn(6).
+func BenchmarkIntn(b *testing.B) {
+	r := NewRNG(1)
+	var sink int
+	for i := 0; i < b.N; i++ {
+		sink += r.Intn(6)
+	}
+	benchSink = uint64(sink)
+}
+
 func TestRNGSplitIndependence(t *testing.T) {
 	parent := NewRNG(11)
 	a := parent.Split()
