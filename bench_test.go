@@ -324,9 +324,10 @@ func BenchmarkNetworkSimulator(b *testing.B) {
 }
 
 // BenchmarkRunSharded measures the simulation engines' scaling:
-// terminal-slots per second at 10k–1M terminals, for the columnar
-// cohort engine and the reference event-driven engine, for one shard (the single-threaded Run) versus one shard per
-// core. Results are bit-identical across every variant (the
+// terminal-slots per second at 10k–1M terminals, for the batch engine
+// (one terminal record, one terminal at a time) and the reference
+// event-driven engine, for one shard (the single-threaded Run) versus
+// one shard per core. Results are bit-identical across every variant (the
 // engine-equivalence and shard-count-invariance contracts); only the
 // wall clock changes.
 func BenchmarkRunSharded(b *testing.B) {

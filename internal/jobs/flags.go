@@ -76,7 +76,7 @@ func SpecFlags(fs *flag.FlagSet) func() (Spec, error) {
 		"capture a telemetry snapshot frame every N slots (0 = off)")
 	fs.StringVar(&s.Engine, "engine", "cols",
 		"simulation engine: "+strings.Join(locman.EngineNames(), " or ")+
-			" (columnar vs reference event-driven); results are bit-identical")
+			" (batch vs reference event-driven); results are bit-identical")
 
 	return func() (Spec, error) {
 		spec := s

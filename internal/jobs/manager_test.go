@@ -352,23 +352,28 @@ func TestManagerDeadline(t *testing.T) {
 	}
 }
 
-// TestManagerFailedJob checks that a spec valid at submit time but
-// rejected by the engine's deeper validation surfaces as a failed job
-// carrying the engine's error, not a wedged worker.
+// failRunner is a Runner whose every run fails with err.
+type failRunner struct{ err error }
+
+func (r failRunner) Run(context.Context, RunContext) (*locman.NetworkMetrics, error) {
+	return nil, r.err
+}
+
+// TestManagerFailedJob checks that a valid spec whose run errors surfaces
+// as a failed job carrying the run's error, not a wedged worker. (A spec
+// the engine would reject never gets this far: Submit runs the engine's
+// own config check.)
 func TestManagerFailedJob(t *testing.T) {
-	m := New(Options{QueueDepth: 4, Workers: 1})
+	m := New(Options{QueueDepth: 4, Workers: 1, Runner: failRunner{errors.New("engine refused the run")}})
 	defer m.Shutdown(context.Background())
 
-	spec := testSpec()
-	d := 60
-	spec.Threshold = &d // exceeds the engine's MaxThreshold default of 50
-	v, err := m.Submit(spec)
+	v, err := m.Submit(testSpec())
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
 	final := waitTerminal(t, m, v.ID)
-	if final.State != StateFailed || final.Error == "" {
-		t.Fatalf("final state = %s (%q), want failed with an error", final.State, final.Error)
+	if final.State != StateFailed || !strings.Contains(final.Error, "engine refused the run") {
+		t.Fatalf("final state = %s (%q), want failed with the run's error", final.State, final.Error)
 	}
 }
 

@@ -46,11 +46,10 @@ func TestManagerIngestsDoneJobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A job that fails at run time (threshold beyond the engine cap)
-	// must not be flattened.
+	// A job that fails at run time (its deadline has passed before the
+	// first slot) must not be flattened.
 	bad := testSpec()
-	d := 60
-	bad.Threshold = &d
+	bad.TimeoutSec = 1e-9
 	v3, err := m.Submit(bad)
 	if err != nil {
 		t.Fatal(err)

@@ -152,8 +152,9 @@ func HeteroFleet(moveProb, callProb float64) *FleetSpec {
 }
 
 // FaultSpec is the JSON view of locman.FaultPlan; see that type for the
-// field semantics (including the ExplicitZero sentinel for AckTimeout
-// and PageRetries).
+// field semantics. AckTimeout and PageRetries take locman.ExplicitZero
+// (-1 in JSON) for a literal zero, since their zero value means "use the
+// default".
 type FaultSpec struct {
 	UpdateLoss    float64      `json:"update_loss,omitempty"`
 	PollLoss      float64      `json:"poll_loss,omitempty"`
@@ -313,7 +314,8 @@ func (s *Spec) ResolvedShards() int {
 
 // Validate rejects unusable specs with errors phrased for API clients.
 // It covers both the service-level constraints (positive run shape,
-// sane timeout) and the full engine validation, so a Spec that
+// sane timeout) and the engine's own config check
+// (locman.NetworkConfig.Validate), so a Spec that
 // validates here is guaranteed to start simulating when its turn comes.
 func (s *Spec) Validate() error {
 	var problems []string
@@ -338,21 +340,6 @@ func (s *Spec) Validate() error {
 	}
 	if err := cfg.Validate(); err != nil {
 		return fmt.Errorf("jobs: invalid spec: %w", err)
-	}
-	// The embedded Config.Validate covers the average-view parameters
-	// only; check the population, fault and scheme constraints the
-	// engine would otherwise reject at start-of-run, so a Spec that
-	// validates here is guaranteed to start simulating.
-	if cfg.Fleet != nil {
-		if err := cfg.Fleet.Validate(); err != nil {
-			return fmt.Errorf("jobs: invalid spec: %w", err)
-		}
-	}
-	if err := cfg.Faults.Validate(); err != nil {
-		return fmt.Errorf("jobs: invalid spec: %w", err)
-	}
-	if cfg.Dynamic && cfg.Scheme != nil && cfg.Scheme.Name() != "distance" {
-		return fmt.Errorf("jobs: invalid spec: the dynamic per-user mechanism requires the distance update scheme (got %s)", cfg.Scheme.Name())
 	}
 	return nil
 }

@@ -132,6 +132,13 @@ func TestSpecValidate(t *testing.T) {
 			"ack timeout -5 ticks must not be negative"},
 		{"faults negative page retries", func(s *Spec) { s.Faults = &FaultSpec{PageRetries: -3} },
 			"negative paging retry budget -3"},
+		// The paging tick budget 2·(MaxThreshold+2+PageRetries) < SlotTicks
+		// is the engine's check, run at submit.
+		{"faults page retries beyond the slot", func(s *Spec) { s.Faults = &FaultSpec{PageRetries: 1000} },
+			"jobs: invalid spec: sim: MaxThreshold 50 with 1000 paging retries needs more polling ticks than a slot holds (2048)"},
+		{"faults page retries filling the slot", func(s *Spec) { s.Faults = &FaultSpec{PageRetries: 971} }, ""},
+		{"threshold beyond MaxThreshold", func(s *Spec) { d := 60; s.Threshold = &d },
+			"jobs: invalid spec: sim: threshold 60 exceeds MaxThreshold 50"},
 		{"faults inverted outage", func(s *Spec) {
 			s.Faults = &FaultSpec{Outages: []OutageSpec{{Start: 10, End: 20}, {Start: 500, End: 400}}}
 		}, "outage window 1 is inverted or empty: [500, 400)"},
@@ -346,4 +353,35 @@ func FuzzSpecValidate(f *testing.F) {
 			t.Fatalf("spec validated but its fault plan is malformed: %v", err)
 		}
 	})
+}
+
+// TestSpecExplicitZeroPageRetries: locman.ExplicitZero in a FaultSpec
+// switches the recovery rounds off, so calls the nominal plan misses are
+// dropped at once, while the zero value keeps the default budget.
+func TestSpecExplicitZeroPageRetries(t *testing.T) {
+	run := func(pageRetries int) *locman.NetworkMetrics {
+		t.Helper()
+		s := validSpec()
+		s.Slots = 5_000
+		s.Faults = &FaultSpec{PollLoss: 0.3, PageRetries: pageRetries}
+		if err := s.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := s.NetworkConfig()
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := locman.SimulateNetwork(cfg, s.Slots)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	if m := run(locman.ExplicitZero); m.RePolls != 0 || m.DroppedCalls == 0 {
+		t.Errorf("ExplicitZero page retries: %d re-polls, %d dropped calls; want 0 re-polls and some dropped",
+			m.RePolls, m.DroppedCalls)
+	}
+	if m := run(0); m.RePolls == 0 {
+		t.Error("default page retries ran no recovery rounds")
+	}
 }

@@ -226,3 +226,37 @@ func TestWorkerServerServesSliceAndMetrics(t *testing.T) {
 		t.Error("worker /metrics does not count the served slice")
 	}
 }
+
+// TestServerBodyLimit: every endpoint reads its body through the
+// server's one size cap, so an oversized job spec and an oversized
+// slice request are both refused with a 400 before anything runs.
+func TestServerBodyLimit(t *testing.T) {
+	w, err := cluster.NewWorker(cluster.WorkerOptions{
+		Join:      "http://coordinator.invalid",
+		Advertise: "http://advertise.invalid",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, mgr := newTestServer(t, jobs.Options{}, Options{Worker: w})
+
+	huge := testSpec()
+	huge.Scenario = strings.Repeat("x", maxBodyBytes)
+	status, raw := doJSON(t, http.MethodPost, srv.URL+"/api/v1/jobs", huge)
+	if status != http.StatusBadRequest || !strings.Contains(string(raw), "request body too large") {
+		t.Errorf("oversized spec: status %d (body %.200s), want 400 naming the size cap", status, raw)
+	}
+	if n := len(mgr.List()); n != 0 {
+		t.Errorf("%d jobs created from an oversized spec, want 0", n)
+	}
+
+	status, raw = doJSON(t, http.MethodPost, srv.URL+"/api/v1/slices", cluster.SliceRequest{
+		Schema: cluster.WireSchema, Job: "j000001", Spec: huge, Shards: 1, Lo: 0, Hi: 1,
+	})
+	if status != http.StatusBadRequest || !strings.Contains(string(raw), "request body too large") {
+		t.Errorf("oversized slice request: status %d (body %.200s), want 400 naming the size cap", status, raw)
+	}
+	if strings.Contains(getBody(t, srv.URL+"/metrics"), "pcnserve_worker_slices_served_total 1") {
+		t.Error("worker served an oversized slice request")
+	}
+}

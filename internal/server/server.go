@@ -95,8 +95,16 @@ func New(mgr *jobs.Manager, opts Options) *Server {
 	return s
 }
 
-// ServeHTTP implements http.Handler.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
+// maxBodyBytes caps every request body the server reads: specs, queries,
+// cluster messages and slice requests are all small JSON documents.
+const maxBodyBytes = 1 << 20
+
+// ServeHTTP implements http.Handler. It caps the request body at
+// maxBodyBytes before any handler reads it.
+func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	s.mux.ServeHTTP(w, r)
+}
 
 // SetReady flips the /readyz signal; the daemon calls SetReady(false)
 // when graceful shutdown begins.
@@ -207,7 +215,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			map[string]string{"error": "results store not configured"})
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
+	body, err := io.ReadAll(r.Body)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest,
 			map[string]string{"error": fmt.Sprintf("reading query request: %v", err)})

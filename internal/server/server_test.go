@@ -338,6 +338,8 @@ func TestServerRejectsMalformedFaultPlan(t *testing.T) {
 		{&jobs.FaultSpec{UpdateLoss: 1.5}, "update loss probability 1.5 outside [0,1)"},
 		{&jobs.FaultSpec{Outages: []jobs.OutageSpec{{Start: 500, End: 400}}},
 			"outage window 0 is inverted or empty: [500, 400)"},
+		{&jobs.FaultSpec{PageRetries: 1000},
+			"jobs: invalid spec: sim: MaxThreshold 50 with 1000 paging retries needs more polling ticks than a slot holds"},
 	} {
 		spec := testSpec()
 		spec.Faults = tc.faults

@@ -12,8 +12,8 @@ import (
 
 // cancelConfig is a run big enough that it cannot finish before the test
 // cancels it: a wide population with a slot count in the millions. The
-// population exceeds the columnar engine's cohort width after sharding,
-// so its shards hold more than one cohort.
+// population exceeds the batch engine's progress grain
+// (colsCohortTerminals) after sharding.
 func cancelConfig(engine Engine) Config {
 	cfg := baseConfig(chain.TwoDimExact, 0.1, 0.02, 2, 2)
 	cfg.Terminals = 10_000
@@ -25,9 +25,9 @@ func cancelConfig(engine Engine) Config {
 // engine must honour: cancelling the context of an in-flight run makes
 // RunShardedCtx return ctx.Err() promptly — well inside the 2-second
 // bound pcnserve promises for job cancellation — instead of running to
-// completion. For the columnar engine the population spans multiple
-// cohorts, so cancellation must be observed mid-batch, without waiting
-// for the cohort walk to finish the slot batch.
+// completion. For the batch engine the population spans several
+// progress grains, so cancellation must be observed mid-batch, without
+// waiting for the walk over the terminals to finish the slot batch.
 func TestRunShardedCtxCancelPrompt(t *testing.T) {
 	for _, engine := range []Engine{EngineCols, EngineDES} {
 		t.Run(engine.String(), func(t *testing.T) {

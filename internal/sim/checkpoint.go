@@ -209,8 +209,8 @@ func schedCheckpoint(s *des.Scheduler) SchedCheckpoint {
 // engine-class scheduler state. All reference types (slices, maps,
 // histograms) are deep-copied: the live run keeps mutating them after
 // the capture returns.
-func captureShardCore(n *network, terms []terminal, rngs []stats.RNG,
-	boundary int64, lo, hi int, frames []telemetry.ShardFrame) ShardCheckpoint {
+func captureShardCore(n *network, terms []terminal, boundary int64, lo, hi int,
+	frames []telemetry.ShardFrame) ShardCheckpoint {
 	sc := ShardCheckpoint{
 		Slot:    boundary,
 		Lo:      lo,
@@ -232,7 +232,7 @@ func captureShardCore(n *network, terms []terminal, rngs []stats.RNG,
 			DesyncedAt:  uint64(t.desyncedAt),
 			EstQ:        t.est.q,
 			EstC:        t.est.c,
-			RNG:         rngs[i].State(),
+			RNG:         t.rng.State(),
 			Moves:       t.moves,
 			LastContact: t.lastContact,
 		}
@@ -306,10 +306,10 @@ func exportFrames(frames []telemetry.ShardFrame) []FrameCheckpoint {
 }
 
 // restoreShardCore overlays a shard checkpoint onto freshly-built shard
-// state (newShardNetwork output): terminal structs, RNG positions,
-// registry records, the network's counters and the metrics state. The
-// engine restores its own scheduler state afterwards.
-func restoreShardCore(n *network, terms []terminal, rngs []stats.RNG, sc *ShardCheckpoint) error {
+// state (newShardNetwork output): terminal structs with their RNG
+// positions, registry records, the network's counters and the metrics
+// state. The engine restores its own scheduler state afterwards.
+func restoreShardCore(n *network, terms []terminal, sc *ShardCheckpoint) error {
 	if len(sc.Terms) != len(terms) || len(sc.HLR) != len(n.hlr) ||
 		len(sc.Metrics.PerTerminal) != len(terms) {
 		return fmt.Errorf("sim: checkpoint shard holds %d terminals, run has %d", len(sc.Terms), len(terms))
@@ -328,7 +328,7 @@ func restoreShardCore(n *network, terms []terminal, rngs []stats.RNG, sc *ShardC
 		t.est.q, t.est.c = tc.EstQ, tc.EstC
 		t.moves = tc.Moves
 		t.lastContact = tc.LastContact
-		rngs[i].SetState(tc.RNG)
+		t.rng.SetState(tc.RNG)
 	}
 	for i := range n.hlr {
 		hc := &sc.HLR[i]

@@ -5,51 +5,41 @@ import (
 
 	"repro/internal/des"
 	"repro/internal/grid"
-	"repro/internal/stats"
 	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
 
-// The columnar cohort engine (EngineCols, the default).
+// The batch engine (EngineCols, the default).
 //
 // The reference engine pays the full discrete-event machinery for every
 // slot of every terminal — a heap-driven sweep event, a map increment and
 // two Bernoulli draws per terminal-slot — even though under the paper's
 // parameters (q, c ≪ 1) the overwhelming majority of terminal-slots do
-// nothing that needs an event queue at all. The columnar engine inverts
-// the loop: terminals advance through whole slot batches in memory order,
-// drawing their call/movement outcomes straight from their positional
-// RNG streams with precomputed integer Bernoulli thresholds. On a pure
-// slot — no queued timers — the scheduler is not touched at all: paging
-// exchanges run inline through pageInline (allocation-free, with explicit
-// tick bookkeeping), and only update/ack/retry machinery arms the small
-// per-terminal scheduler, after which the affected slots fall back to
-// the event path until the queue drains.
+// nothing that needs an event queue at all. The batch engine inverts the
+// loop: each terminal in turn advances through a whole slot batch,
+// drawing its call/movement outcomes straight from its positional RNG
+// stream with precomputed integer Bernoulli thresholds. On a pure slot —
+// no queued timers — the scheduler is not touched at all: paging
+// exchanges run inline through pageInline (allocation-free, with
+// explicit tick bookkeeping), and only update/ack/retry machinery arms
+// the terminal's own scheduler, after which the affected slots fall back
+// to the event path until the queue drains.
 //
-// The state is split by temperature. The few words the per-slot decision
-// actually needs — position, center, threshold, the precomputed
-// call/move thresholds, the RNG state and the scheduler bookkeeping —
-// live in flat parallel slices (one cache-dense column each), while the
-// terminal structs are kept as a cold mirror that only event handling
-// touches: scheduled closures (ack timers) capture *terminal, so those
-// pointers must stay stable and the struct fields must be current
-// whenever network code runs. Walking full terminal structs (well over a
-// cache line each) is what blows the cache at millions of terminals. The
-// engine walks terminals in cohorts of colsCohortTerminals per slot
-// batch, which bounds how stale the cohort-granular progress accounting
-// can get and gives cancellation a natural check boundary.
+// The terminal struct is the only per-terminal record: the stretch loop
+// and the network code (sweeps, paging, update exchanges, queued
+// timers) read and write the same fields, so nothing has to be copied
+// across between them. Each terminal is visited once per batch and then
+// spends its stretch inside EventGap, so the memory layout of the
+// population is not what limits the loop.
 //
 // Inside a terminal's event-free stretch the engine does not ask "did
 // anything happen this slot?" but "how many slots until something
 // happens?" — stats.RNG.EventGap draws the gap to the next call-or-move
 // event directly. EventGap holds the four generator words in registers
 // for its whole scan and stores them once when it returns, so a stretch
-// costs one call per event, not one per draw. Around it the stretch
-// loop keeps its copy of the generator, position and center in locals.
-// Cell geometry is inlined on a concrete grid.Hex/grid.Line branch
-// rather than called through the locator interface: an interface call
-// would force the local RNG copy to escape to the heap, and the hot
-// loop must not allocate at any population size.
+// costs one call per event, not one per draw. Cell geometry is inlined
+// on a concrete grid.Hex/grid.Line branch rather than called through the
+// locator interface, which keeps an interface call off every move.
 //
 // Bit-identity with the reference engine is a contract, not an accident
 // (see TestColsDESEquivalence). It rests on three facts:
@@ -59,8 +49,11 @@ import (
 //     draw, then one move draw, per slot, then the in-move direction —
 //     consuming the identical stream positions (stats.BernoulliThreshold
 //     documents the exactness); pageInline replays the paging chain's
-//     loss draws in chain order, and slow slots run sweepSlot itself on
-//     the struct mirror.
+//     loss draws in chain order, and slow slots run sweepSlot itself.
+//     The timer scheme's refresh deadline ends a stretch, so the
+//     deadline slot — and every overdue slot after it, while dropped
+//     calls leave the last contact stale — is a slow slot whose update
+//     sweepSlot fires.
 //
 //  2. Cross-terminal state is commutative. Terminals meet only in
 //     integer counters, fixed-bucket histograms, per-terminal HLR
@@ -74,9 +67,9 @@ import (
 //     one terminal, the reference engine orders a queued event against a
 //     slot boundary by (time, insertion order) against that slot's sweep
 //     event, whose insertion stamp is assigned at the end of the
-//     previous slot's sweep. The columnar engine reproduces the stamp
-//     with SeqMark after each sweep that touches the scheduler
-//     (colsState.preSweep) and splits each armed slot into the same two
+//     previous slot's sweep. The batch engine reproduces the stamp with
+//     SeqMark after each sweep that touches the scheduler
+//     (terminal.preSweep) and splits each armed slot into the same two
 //     phases with RunBefore: events due before the sweep, then the
 //     sweep, then events due before the next boundary. Pure slots leave
 //     the mark alone — the per-terminal insertion counter only advances
@@ -84,106 +77,38 @@ import (
 //     every queued event exactly as the reference engine's growing
 //     global counter would.
 
-// colsCohortTerminals is the cohort width: terminals are advanced
-// through each slot batch in blocks of this many. The hot columns of a
-// cohort (~100 B/terminal) fit comfortably in L2, and a cohort is the
-// granularity of progress publication.
+// colsCohortTerminals is the progress granularity: within a slot batch
+// the shard publishes its progress after every this many terminals, so
+// pollers watch a run move through a deep batch instead of seeing it
+// jump at the boundary.
 const colsCohortTerminals = 4096
 
-// colsState holds the hot columns, indexed by terminal position within
-// the shard. The RNG column is the flat slice newShardNetwork seeds —
-// terminal i's rng pointer aliases element i, so the cold paths and the
-// columnar kernel consume one and the same stream.
-type colsState struct {
-	rngs []stats.RNG
-	// pos and ctr mirror terminal.pos and terminal.center; thr mirrors
-	// terminal.threshold. The columns are authoritative between cold
-	// calls; syncTerminal/syncColumns move the values across.
-	pos []wire.Cell
-	ctr []wire.Cell
-	thr []int32
-	// callT and moveT are the precomputed integer Bernoulli thresholds
-	// for the per-slot call and movement draws (stats.BernoulliThreshold
-	// of params.C and moveProb; both are fixed for the whole run).
-	callT []uint64
-	moveT []uint64
-	// sched is each terminal's own scheduler. preSweep is where the
-	// reference engine's next slot-sweep event would sit in that
-	// terminal's insertion order: the SeqMark taken after the previous
-	// scheduler-touching slot's sweep. A queued event on the slot
-	// boundary runs before the boundary's sweep (and before any
-	// telemetry capture) exactly when its stamp is below the mark.
-	sched    []des.Scheduler
-	preSweep []uint64
-	// curD and runLen batch the per-slot threshold-usage accounting:
-	// runLen consecutive slots spent at threshold curD, flushed to
-	// Metrics.ThresholdSlots only when the threshold changes or the run
-	// ends — the reference engine's per-terminal-slot map increment is
-	// the single largest cost it pays.
-	curD   []int32
-	runLen []int64
-}
-
-func newColsState(terms []terminal, rngs []stats.RNG, startD int) *colsState {
-	n := len(terms)
-	c := &colsState{
-		rngs:     rngs,
-		pos:      make([]wire.Cell, n),
-		ctr:      make([]wire.Cell, n),
-		thr:      make([]int32, n),
-		callT:    make([]uint64, n),
-		moveT:    make([]uint64, n),
-		sched:    make([]des.Scheduler, n),
-		preSweep: make([]uint64, n),
-		curD:     make([]int32, n),
-		runLen:   make([]int64, n),
+// countThreshold credits slots more slots at threshold d to t's batched
+// threshold-usage run, flushing the run first when d differs from it.
+func (t *terminal) countThreshold(d int, slots int64, m *Metrics) {
+	if int32(d) != t.curD {
+		t.flushThreshold(m)
+		t.curD, t.runLen = int32(d), 0
 	}
-	for i := range terms {
-		t := &terms[i]
-		c.pos[i] = t.pos
-		c.ctr[i] = t.center
-		c.thr[i] = int32(t.threshold)
-		c.callT[i] = stats.BernoulliThreshold(t.params.C)
-		c.moveT[i] = stats.BernoulliThreshold(t.moveProb)
-		c.curD[i] = int32(startD)
-	}
-	return c
+	t.runLen += slots
 }
 
-// syncTerminal refreshes the cold struct mirror from the columns, so
-// network code (sweeps, paging, update exchanges, queued timers) sees
-// the terminal's current state.
-func (c *colsState) syncTerminal(t *terminal, i int) {
-	t.pos = c.pos[i]
-	t.center = c.ctr[i]
-	t.threshold = int(c.thr[i])
-}
-
-// syncColumns writes the struct mirror back to the columns after cold
-// code may have changed it.
-func (c *colsState) syncColumns(t *terminal, i int) {
-	c.pos[i] = t.pos
-	c.ctr[i] = t.center
-	c.thr[i] = int32(t.threshold)
-}
-
-// flushThreshold credits terminal i's batched threshold-usage run.
-// Flushes always carry runLen ≥ 1 once a slot has run, so the map never
-// grows zero-valued keys the reference engine would not have.
-func (c *colsState) flushThreshold(i int, m *Metrics) {
-	if c.runLen[i] > 0 {
-		m.ThresholdSlots[int(c.curD[i])] += c.runLen[i]
+// flushThreshold credits t's batched threshold-usage run. Flushes always
+// carry runLen ≥ 1 once a slot has run, so the map never grows
+// zero-valued keys the reference engine would not have.
+func (t *terminal) flushThreshold(m *Metrics) {
+	if t.runLen > 0 {
+		m.ThresholdSlots[int(t.curD)] += t.runLen
 	}
 }
 
-// runShardCols simulates terminals [r.lo, r.hi) with the columnar
-// cohort engine, bit-identical to runShard for every configuration: same
-// Metrics, same telemetry frame series, same histograms. Slots are
-// processed in batches bounded by the telemetry cadence so each snapshot
-// observes exactly the state the reference engine would capture at that
-// boundary; within a batch, terminals advance in cohorts, and within a
-// terminal, event-free stretches collapse into EventGap draws on
-// register-resident state.
+// runShardCols simulates terminals [r.lo, r.hi) with the batch engine,
+// bit-identical to runShard for every configuration: same Metrics, same
+// telemetry frame series, same histograms. Slots are processed in
+// batches bounded by the telemetry cadence so each snapshot observes
+// exactly the state the reference engine would capture at that
+// boundary; within a batch, terminals advance one after another, and
+// within a terminal, event-free stretches collapse into EventGap draws.
 //
 // Checkpoint boundaries also bound the batches. Subdividing batches is
 // harmless — cross-terminal state is commutative (contract note 2) and
@@ -203,23 +128,11 @@ func (c *colsState) flushThreshold(i int, m *Metrics) {
 // stretch cap never engages.
 func runShardCols(ctx context.Context, r shardRun) (shardResult, error) {
 	cfg, slots := r.cfg, r.slots
-	n, terms, rngs, err := newShardNetwork(cfg, slots, r.lo, r.hi, r.startD, r.loc)
+	n, terms, err := newShardNetwork(cfg, slots, r.lo, r.hi, r.startD, r.loc)
 	if err != nil {
 		return shardResult{}, err
 	}
 	_, isHex := r.loc.(hexLocator)
-	// Resume restores the struct mirrors (and RNG columns) first, so
-	// newColsState seeds the hot columns from the checkpointed state; the
-	// scheduler/preSweep/threshold-accounting columns are then overlaid
-	// from the checkpoint directly.
-	start := int64(0)
-	if r.resume != nil {
-		if err := restoreShardCore(n, terms, rngs, r.resume); err != nil {
-			return shardResult{}, err
-		}
-		start = r.resume.Slot
-	}
-	c := newColsState(terms, rngs, r.startD)
 
 	every := cfg.Telemetry.SnapshotEvery
 	prog := cfg.Telemetry.Progress
@@ -227,21 +140,27 @@ func runShardCols(ctx context.Context, r shardRun) (shardResult, error) {
 	kind, param := n.upd.kind, n.upd.param
 	done := ctx.Done()
 	width := int64(r.hi - r.lo)
+	start := int64(0)
 	var frames []telemetry.ShardFrame
 	// subEvents counts dispatched sub-slot events across all terminals —
 	// the engine schedules no sweep events, so this is directly the
 	// reference engine's Processed() minus its slot sweeps.
 	var subEvents uint64
 	if r.resume != nil {
+		if err := restoreShardCore(n, terms, r.resume); err != nil {
+			return shardResult{}, err
+		}
+		start = r.resume.Slot
 		frames = restoreFrames(r.resume.Frames)
 		subEvents = r.resume.SubEvents
 		bind := ackBind(n, terms)
 		for i := range terms {
+			t := &terms[i]
 			sc := &r.resume.Scheds[i]
-			c.sched[i].Restore(des.Time(sc.Now), sc.Seq, sc.Ran, sc.Pending, bind)
-			c.preSweep[i] = r.resume.PreSweep[i]
-			c.curD[i] = int32(r.resume.CurD[i])
-			c.runLen[i] = r.resume.RunLen[i]
+			t.sched.Restore(des.Time(sc.Now), sc.Seq, sc.Ran, sc.Pending, bind)
+			t.preSweep = r.resume.PreSweep[i]
+			t.curD = int32(r.resume.CurD[i])
+			t.runLen = r.resume.RunLen[i]
 		}
 	}
 
@@ -258,237 +177,133 @@ func runShardCols(ctx context.Context, r shardRun) (shardResult, error) {
 			}
 		}
 		last := next == slots
-		for first := 0; first < len(terms); first += colsCohortTerminals {
-			endT := first + colsCohortTerminals
-			if endT > len(terms) {
-				endT = len(terms)
-			}
-			for i := first; i < endT; i++ {
-				t := &terms[i]
-				sched := &c.sched[i]
-				n.sched = sched
-				for s := cur; s < next; {
-					if done != nil {
-						select {
-						case <-done:
-							return shardResult{}, ctx.Err()
-						default:
+		for i := range terms {
+			t := &terms[i]
+			n.sched = &t.sched
+			for s := cur; s < next; {
+				if done != nil {
+					select {
+					case <-done:
+						return shardResult{}, ctx.Err()
+					default:
+					}
+				}
+				if t.sched.Pending() > 0 || (dyn && s > 0 && s%cfg.ReoptimizeEvery == 0) ||
+					(kind == schemeTimer && s-t.lastContact >= param) {
+					// Slow slot: run the reference two-phase event path.
+					base := des.Time(s) * SlotTicks
+					if t.sched.Pending() > 0 {
+						subEvents += t.sched.RunBefore(base, t.preSweep)
+					}
+					t.sched.AdvanceTo(base)
+					t.countThreshold(t.threshold, 1, n.metrics)
+					n.sweepSlot(t, s)
+					if dyn && s > 0 && s%cfg.ReoptimizeEvery == 0 {
+						n.reoptimize(t)
+					}
+					t.preSweep = t.sched.SeqMark()
+					if t.sched.Pending() > 0 {
+						subEvents += t.sched.RunBefore(base+SlotTicks, t.preSweep)
+					}
+					s++
+					continue
+				}
+				// Pure stretch: consume event gaps until the stretch
+				// ends or the scheduler is armed. It stops short of the
+				// next re-optimization slot and of the timer scheme's
+				// refresh deadline (which the test above puts beyond s):
+				// both are slow slots.
+				stop := next
+				if dyn {
+					if b := (s/cfg.ReoptimizeEvery + 1) * cfg.ReoptimizeEvery; b < stop {
+						stop = b
+					}
+				}
+				if kind == schemeTimer {
+					if dl := t.lastContact + param; dl < stop {
+						stop = dl
+					}
+				}
+				if done != nil && stop-s > ctxCheckSlots {
+					stop = s + ctxCheckSlots
+				}
+				from := s
+				callT, moveT := t.callT, t.moveT
+				for s < stop {
+					gap, called, hit := t.rng.EventGap(callT, moveT, stop-s)
+					if dyn {
+						// The estimator's float sequence must match the
+						// scalar per-slot updates exactly, so event-free
+						// slots are replayed one by one — no closed-form
+						// decay.
+						for k := int64(0); k < gap; k++ {
+							t.est.observe(false, false)
 						}
 					}
-					if sched.Pending() > 0 || (dyn && s > 0 && s%cfg.ReoptimizeEvery == 0) {
-						// Slow slot: run the reference two-phase event
-						// path on the struct mirror. The mirror must be
-						// current before any queued event dispatches
-						// (retransmissions read t.pos), and the columns
-						// are refreshed after the sweep.
-						c.syncTerminal(t, i)
-						base := des.Time(s) * SlotTicks
-						if sched.Pending() > 0 {
-							subEvents += sched.RunBefore(base, c.preSweep[i])
+					s += gap
+					if !hit {
+						break
+					}
+					if called {
+						subEvents += n.pageInline(t, des.Time(s)*SlotTicks)
+						if dyn {
+							t.est.observe(false, true)
 						}
-						sched.AdvanceTo(base)
-						if int32(t.threshold) == c.curD[i] {
-							c.runLen[i]++
-						} else {
-							c.flushThreshold(i, n.metrics)
-							c.curD[i] = int32(t.threshold)
-							c.runLen[i] = 1
-						}
-						n.sweepSlot(t, s)
-						if dyn && s > 0 && s%cfg.ReoptimizeEvery == 0 {
-							n.reoptimize(t)
-						}
-						c.preSweep[i] = sched.SeqMark()
-						if sched.Pending() > 0 {
-							subEvents += sched.RunBefore(base+SlotTicks, c.preSweep[i])
-						}
-						c.syncColumns(t, i)
 						s++
 						continue
 					}
-					// Pure stretch: load the terminal's hot state into
-					// registers and consume event gaps until the stretch
-					// ends or the scheduler is armed.
-					stop := next
-					if dyn {
-						if b := (s/cfg.ReoptimizeEvery + 1) * cfg.ReoptimizeEvery; b < stop {
-							stop = b
+					// Move event: direction draw, then the scheme's
+					// trigger decision, on concrete grid math. The timer
+					// scheme never triggers on movement.
+					trigger := false
+					if isHex {
+						h := grid.Hex{Q: int(t.pos.Q), R: int(t.pos.R)}.Neighbor(t.rng.Intn(6))
+						t.pos = wire.Cell{Q: int32(h.Q), R: int32(h.R)}
+						if kind == schemeDistance {
+							trigger = h.Dist(grid.Hex{Q: int(t.center.Q), R: int(t.center.R)}) > t.threshold
 						}
-					}
-					if done != nil && stop-s > ctxCheckSlots {
-						stop = s + ctxCheckSlots
-					}
-					start := s
-					lr := rngs[i]
-					pos, ctr := c.pos[i], c.ctr[i]
-					thr := int(c.thr[i])
-					callT, moveT := c.callT[i], c.moveT[i]
-					for s < stop {
-						limit := stop - s
-						deadlined := false
-						if kind == schemeTimer {
-							// The gap sampler may not run past the timer's
-							// refresh deadline: that slot takes its call and
-							// move draws individually and then fires the
-							// update, so the budget stops just short of it.
-							// An overdue deadline (a dropped call left
-							// lastContact stale) clamps to a zero budget —
-							// EventGap consumes no draws on a zero limit —
-							// and the slot is processed manually below.
-							if dl := t.lastContact + param; dl < stop {
-								if dl < s {
-									dl = s
-								}
-								limit = dl - s
-								deadlined = true
-							}
-						}
-						gap, called, hit := lr.EventGap(callT, moveT, limit)
-						if dyn {
-							// The estimator's float sequence must match
-							// the scalar per-slot updates exactly, so
-							// event-free slots are replayed one by one —
-							// no closed-form decay.
-							for k := int64(0); k < gap; k++ {
-								t.est.observe(false, false)
-							}
-						}
-						s += gap
-						if !hit {
-							if !deadlined {
-								break
-							}
-							// s reached the refresh deadline without an
-							// event. Replay the slot's draws in sweepSlot
-							// order — call, then movement (with its
-							// direction draw), neither of which can trigger
-							// in timer mode — then fire the timer update.
-							if lr.BernoulliT(callT) {
-								rngs[i] = lr
-								t.pos, t.center, t.threshold = pos, ctr, thr
-								subEvents += n.pageInline(t, des.Time(s)*SlotTicks)
-								ctr = t.center
-								lr = rngs[i]
-								s++
-								continue
-							}
-							if lr.BernoulliT(moveT) {
-								if isHex {
-									h := grid.Hex{Q: int(pos.Q), R: int(pos.R)}.Neighbor(lr.Intn(6))
-									pos = wire.Cell{Q: int32(h.Q), R: int32(h.R)}
-								} else {
-									pos = wire.Cell{Q: int32(grid.Line(pos.Q).Neighbor(lr.Intn(2)))}
-								}
-							}
-							rngs[i] = lr
-							sched.AdvanceTo(des.Time(s) * SlotTicks)
-							ctr = pos
-							t.pos, t.center, t.threshold = pos, ctr, thr
-							n.sendUpdate(t)
-							lr = rngs[i]
-							s++
-							c.preSweep[i] = sched.SeqMark()
-							if sched.Pending() > 0 {
-								subEvents += sched.RunBefore(des.Time(s)*SlotTicks, c.preSweep[i])
-								lr = rngs[i]
-								pos, ctr = t.pos, t.center
-								break
-							}
-							continue
-						}
-						if called {
-							// Inline paging exchange through the cold
-							// path: publish registers, run, reload (the
-							// chain draws losses from the shared RNG
-							// column and may re-center the terminal).
-							rngs[i] = lr
-							t.pos, t.center, t.threshold = pos, ctr, thr
-							subEvents += n.pageInline(t, des.Time(s)*SlotTicks)
-							ctr = t.center
-							lr = rngs[i]
-							if dyn {
-								t.est.observe(false, true)
-							}
-							s++
-							continue
-						}
-						// Move event: direction draw, then the scheme's
-						// trigger decision, on concrete grid math (an
-						// interface call here would heap-escape lr). The
-						// timer scheme never triggers on movement; its
-						// deadline handling sits above.
-						trigger := false
-						if isHex {
-							h := grid.Hex{Q: int(pos.Q), R: int(pos.R)}.Neighbor(lr.Intn(6))
-							pos = wire.Cell{Q: int32(h.Q), R: int32(h.R)}
-							if kind == schemeDistance {
-								trigger = h.Dist(grid.Hex{Q: int(ctr.Q), R: int(ctr.R)}) > thr
-							}
-						} else {
-							l := grid.Line(pos.Q).Neighbor(lr.Intn(2))
-							pos = wire.Cell{Q: int32(l)}
-							if kind == schemeDistance {
-								trigger = l.Dist(grid.Line(ctr.Q)) > thr
-							}
-						}
-						if kind == schemeMovement {
-							t.moves++
-							trigger = t.moves >= param
-						}
-						touched := false
-						if trigger {
-							rngs[i] = lr
-							sched.AdvanceTo(des.Time(s) * SlotTicks)
-							ctr = pos
-							t.pos, t.center, t.threshold = pos, ctr, thr
-							n.sendUpdate(t)
-							lr = rngs[i]
-							touched = true
-						}
-						if dyn {
-							t.est.observe(true, false)
-						}
-						s++
-						if touched {
-							c.preSweep[i] = sched.SeqMark()
-							if sched.Pending() > 0 {
-								subEvents += sched.RunBefore(des.Time(s)*SlotTicks, c.preSweep[i])
-								// Dispatched retransmissions consume RNG
-								// draws and may re-center; reload before
-								// falling back to the per-slot path.
-								lr = rngs[i]
-								pos, ctr = t.pos, t.center
-								break
-							}
-						}
-					}
-					rngs[i] = lr
-					c.pos[i], c.ctr[i] = pos, ctr
-					// The whole stretch ran at one threshold (only
-					// reoptimize moves it, never inside a stretch).
-					if int32(thr) == c.curD[i] {
-						c.runLen[i] += s - start
 					} else {
-						c.flushThreshold(i, n.metrics)
-						c.curD[i] = int32(thr)
-						c.runLen[i] = s - start
+						l := grid.Line(t.pos.Q).Neighbor(t.rng.Intn(2))
+						t.pos = wire.Cell{Q: int32(l)}
+						if kind == schemeDistance {
+							trigger = l.Dist(grid.Line(t.center.Q)) > t.threshold
+						}
+					}
+					if kind == schemeMovement {
+						t.moves++
+						trigger = t.moves >= param
+					}
+					if trigger {
+						t.sched.AdvanceTo(des.Time(s) * SlotTicks)
+						n.sendUpdate(t)
+						t.preSweep = t.sched.SeqMark()
+					}
+					if dyn {
+						t.est.observe(true, false)
+					}
+					s++
+					if trigger && t.sched.Pending() > 0 {
+						// An armed ack timer: dispatch what falls due
+						// before the next boundary, then fall back to
+						// the per-slot path.
+						subEvents += t.sched.RunBefore(des.Time(s)*SlotTicks, t.preSweep)
+						break
 					}
 				}
-				if last {
-					// Late timers resolve against the current mirror,
-					// exactly as the reference engine's final drain.
-					c.syncTerminal(t, i)
-					subEvents += sched.Drain()
-					c.syncColumns(t, i)
-					c.flushThreshold(i, n.metrics)
-				}
+				// The whole stretch ran at one threshold (only
+				// reoptimize moves it, never inside a stretch).
+				t.countThreshold(t.threshold, s-from, n.metrics)
 			}
-			if endT < len(terms) {
-				// Cohort-granular progress: slot stays at the batch
-				// floor while completed work and events advance, so
-				// pollers watch a run move through a deep batch instead
-				// of seeing it jump at the boundary.
-				prog.Set(r.shard, cur, cur*width+int64(endT)*(next-cur), uint64(cur)+subEvents)
+			if last {
+				// Late timers resolve against the terminal's final
+				// state, exactly as the reference engine's final drain.
+				subEvents += t.sched.Drain()
+				t.flushThreshold(n.metrics)
+			}
+			if k := i + 1; k%colsCohortTerminals == 0 && k < len(terms) {
+				// Progress within a batch: slot stays at the batch floor
+				// while completed work and events advance.
+				prog.Set(r.shard, cur, cur*width+int64(k)*(next-cur), uint64(cur)+subEvents)
 			}
 		}
 		cur = next
@@ -497,23 +312,18 @@ func runShardCols(ctx context.Context, r shardRun) (shardResult, error) {
 			frames = append(frames, n.snapshot(cur, subEvents))
 		}
 		if r.every > 0 && cur%r.every == 0 && !last {
-			// The struct mirrors may be stale (columns are authoritative
-			// between cold calls); refresh them so the capture sees the
-			// current positions, centers and thresholds.
-			for i := range terms {
-				c.syncTerminal(&terms[i], i)
-			}
-			sc := captureShardCore(n, terms, rngs, cur, r.lo, r.hi, frames)
+			sc := captureShardCore(n, terms, cur, r.lo, r.hi, frames)
 			sc.SubEvents = subEvents
 			sc.Scheds = make([]SchedCheckpoint, len(terms))
 			sc.PreSweep = make([]uint64, len(terms))
 			sc.CurD = make([]int64, len(terms))
 			sc.RunLen = make([]int64, len(terms))
 			for i := range terms {
-				sc.Scheds[i] = schedCheckpoint(&c.sched[i])
-				sc.PreSweep[i] = c.preSweep[i]
-				sc.CurD[i] = int64(c.curD[i])
-				sc.RunLen[i] = c.runLen[i]
+				t := &terms[i]
+				sc.Scheds[i] = schedCheckpoint(&t.sched)
+				sc.PreSweep[i] = t.preSweep
+				sc.CurD[i] = int64(t.curD)
+				sc.RunLen[i] = t.runLen
 			}
 			r.emit(sc)
 		}

@@ -140,6 +140,25 @@ func TestColsDESEquivalence(t *testing.T) {
 				}
 			},
 		},
+		{
+			// A call dropped on the timer's refresh deadline leaves the
+			// terminal overdue, so the deadline slot and the overdue
+			// slots after it all take the slow path's sweepSlot.
+			name: "timer with losses and dropped calls",
+			cfg: func() Config {
+				cfg := baseConfig(chain.TwoDimExact, 0.2, 0.05, 2, 3)
+				cfg.Terminals = 10
+				cfg.Scheme = TimerScheme{Every: 20}
+				cfg.Faults = FaultPlan{PollLoss: 0.3, ReplyLoss: 0.2, PageRetries: ExplicitZero}
+				return cfg
+			},
+			slots: 3_000,
+			alive: func(t *testing.T, m *Metrics) {
+				if m.DroppedCalls == 0 || m.Updates == 0 {
+					t.Fatalf("timer path idle: %d dropped calls, %d updates", m.DroppedCalls, m.Updates)
+				}
+			},
+		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ref := tc.cfg()
@@ -208,5 +227,29 @@ func TestEngineValidation(t *testing.T) {
 	cfg.Engine = Engine(99)
 	if _, err := RunSharded(cfg, 100, 1); err == nil {
 		t.Error("unknown engine value accepted by validation")
+	}
+}
+
+// TestColsHotLoopDoesNotAllocate holds the batch engine's slot loop to
+// zero allocations on BenchmarkHotLoop's configuration (one terminal,
+// heavy movement with real threshold-crossing updates, no calls):
+// doubling the slot count must not add a single allocation, so every
+// allocation the run makes is one-time setup.
+func TestColsHotLoopDoesNotAllocate(t *testing.T) {
+	cfg := baseConfig(chain.TwoDimExact, 0.5, 0, 3, 3)
+	allocs := func(slots int64) float64 {
+		return testing.AllocsPerRun(5, func() {
+			m, err := Run(cfg, slots)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.Updates == 0 {
+				t.Fatal("hot loop sent no updates")
+			}
+		})
+	}
+	short, long := allocs(20_000), allocs(40_000)
+	if long != short {
+		t.Errorf("doubling the slots changed allocations: %v at 20000 slots, %v at 40000", short, long)
 	}
 }

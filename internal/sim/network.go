@@ -124,7 +124,7 @@ func (n *network) markSynced(t *terminal) {
 }
 
 // markSyncedAt is markSynced at an explicit virtual time, for callers that
-// run ahead of the scheduler clock (the columnar engine's inline paging
+// run ahead of the scheduler clock (the batch engine's inline paging
 // exchange, pageInline): the recovery latency has sub-slot resolution, so
 // the tick the episode closes at must be the one the event-driven
 // exchange would have reached.
@@ -410,19 +410,20 @@ func (n *network) page(t *terminal) {
 // update scheme deciding whether the move triggers an update), then the
 // timer scheme's deadline check, then the dynamic scheme's estimator
 // update. The draw order — call, then movement, then the in-move
-// direction — is the per-terminal RNG contract the columnar engine's
+// direction — is the per-terminal RNG contract the batch engine's
 // bit-identity rests on: the reference engine runs this method every
-// slot, the columnar engine replicates the same draws inline on its pure
+// slot, the batch engine replicates the same draws inline on its pure
 // slots (runShardCols) and falls back to this method whenever queued
-// events are in play. Note Bernoulli always consumes a draw, even at
-// probability zero, so the sequence is the same whatever
-// the outcomes; the scheme dispatch sits strictly after the draws and
-// takes none of its own. Threshold-usage accounting stays with the
-// callers: the reference engine counts every terminal-slot as it
-// sweeps, the columnar engine batches runs of unchanged thresholds.
+// events are in play or a timer-scheme refresh is due. Note Bernoulli
+// always consumes a draw, even at probability zero, so the sequence is
+// the same whatever the outcomes; the scheme dispatch sits strictly
+// after the draws and takes none of its own. Threshold-usage accounting
+// stays with the callers: the reference engine counts every
+// terminal-slot as it sweeps, the batch engine batches runs of
+// unchanged thresholds.
 //
 // slot is the current slot index: the reference engine passes its slot
-// counter, the columnar engine the stretch position. It is only read by
+// counter, the batch engine the slow slot's index. It is only read by
 // the timer scheme (the scheduler clock is not necessarily advanced on
 // pure slots).
 func (n *network) sweepSlot(t *terminal, slot int64) {
@@ -432,7 +433,7 @@ func (n *network) sweepSlot(t *terminal, slot int64) {
 		n.page(t)
 	} else if t.rng.Bernoulli(t.moveProb) {
 		moved = true
-		t.pos = n.loc.move(t.pos, t.rng)
+		t.pos = n.loc.move(t.pos, &t.rng)
 		switch n.upd.kind {
 		case schemeDistance:
 			if n.loc.dist(t.pos, t.center) > t.threshold {

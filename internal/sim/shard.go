@@ -272,45 +272,59 @@ func validateResume(cp *Checkpoint, cfg Config, slots int64, shards, startD int)
 	return nil
 }
 
-// validate rejects unusable configurations; cfg must already carry its
-// defaults.
+// validate rejects unusable runs; cfg must already carry its defaults.
 func validate(cfg Config, slots int64) error {
-	if err := cfg.Core.Validate(); err != nil {
+	if err := cfg.check(); err != nil {
 		return err
 	}
 	if slots <= 0 {
 		return errors.New("sim: slots must be positive")
 	}
-	if err := cfg.Faults.validate(); err != nil {
+	return nil
+}
+
+// Validate reports whether the engines accept cfg: every check a run
+// makes before it simulates, apart from the slot count — the core
+// parameters, the fault plan, the update scheme, the engine and the
+// paging tick budget. Zero-valued fields take their defaults first, as
+// in a run.
+func (c Config) Validate() error { return c.withDefaults().check() }
+
+// check is Validate on a config that already carries its defaults.
+func (c Config) check() error {
+	if err := c.Core.Validate(); err != nil {
 		return err
 	}
-	upd, err := resolveScheme(cfg.Scheme)
+	if err := c.Faults.validate(); err != nil {
+		return err
+	}
+	upd, err := resolveScheme(c.Scheme)
 	if err != nil {
 		return err
 	}
-	if cfg.Dynamic && upd.kind != schemeDistance {
+	if c.Dynamic && upd.kind != schemeDistance {
 		// The dynamic mechanism's decision variable is the distance
 		// threshold; re-optimizing it under a trigger that ignores
 		// distance would be meaningless.
 		return fmt.Errorf("sim: the dynamic per-user mechanism requires the distance update scheme (got %s)", upd.kind)
 	}
-	if cfg.Threshold > cfg.MaxThreshold {
-		return fmt.Errorf("sim: threshold %d exceeds MaxThreshold %d", cfg.Threshold, cfg.MaxThreshold)
+	if c.Threshold > c.MaxThreshold {
+		return fmt.Errorf("sim: threshold %d exceeds MaxThreshold %d", c.Threshold, c.MaxThreshold)
 	}
-	if cfg.Telemetry.SnapshotEvery < 0 {
-		return fmt.Errorf("sim: negative telemetry snapshot cadence %d", cfg.Telemetry.SnapshotEvery)
+	if c.Telemetry.SnapshotEvery < 0 {
+		return fmt.Errorf("sim: negative telemetry snapshot cadence %d", c.Telemetry.SnapshotEvery)
 	}
-	switch cfg.Engine {
+	switch c.Engine {
 	case EngineCols, EngineDES:
 	default:
-		return fmt.Errorf("sim: unknown engine %d", int(cfg.Engine))
+		return fmt.Errorf("sim: unknown engine %d", int(c.Engine))
 	}
 	// A full paging exchange — the nominal plan (at most MaxThreshold+2
 	// cycles) plus every recovery round — must finish inside the arrival
 	// slot, or paging would overlap the next movement opportunity.
-	if 2*(cfg.MaxThreshold+2+cfg.Faults.PageRetries) >= SlotTicks {
+	if 2*(c.MaxThreshold+2+c.Faults.PageRetries) >= SlotTicks {
 		return fmt.Errorf("sim: MaxThreshold %d with %d paging retries needs more polling ticks than a slot holds (%d)",
-			cfg.MaxThreshold, cfg.Faults.PageRetries, SlotTicks)
+			c.MaxThreshold, c.Faults.PageRetries, SlotTicks)
 	}
 	return nil
 }
@@ -333,15 +347,13 @@ func startThreshold(cfg Config) (int, error) {
 // terminals [lo, hi) of the global population: the network (HLR
 // provisioned with every terminal's initial registration, shard-sized
 // metrics) and the terminal population itself, laid out contiguously so
-// the engines' sweeps walk memory in order. The per-terminal generators
-// live in one flat returned slice — terminal i's rng points at element
-// i — so engines that walk generator state columnarly (runShardCols)
-// share the identical state the terminal structs use, and no engine
-// pays a heap allocation per terminal.
-func newShardNetwork(cfg Config, slots int64, lo, hi, startD int, loc locator) (*network, []terminal, []stats.RNG, error) {
+// the engines' sweeps walk memory in order. Each terminal's generator
+// is a value inside its struct, so no engine pays a heap allocation per
+// terminal.
+func newShardNetwork(cfg Config, slots int64, lo, hi, startD int, loc locator) (*network, []terminal, error) {
 	upd, err := resolveScheme(cfg.Scheme)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	n := &network{
 		cfg:   cfg,
@@ -363,32 +375,33 @@ func newShardNetwork(cfg Config, slots int64, lo, hi, startD int, loc locator) (
 	}
 
 	terms := make([]terminal, hi-lo)
-	rngs := make([]stats.RNG, hi-lo)
 	for g := lo; g < hi; g++ {
 		p := cfg.Core.Params
 		if cfg.PerTerminal != nil {
 			p = cfg.PerTerminal(g)
 			if err := p.Validate(); err != nil {
-				return nil, nil, nil, fmt.Errorf("sim: terminal %d: %w", g, err)
+				return nil, nil, fmt.Errorf("sim: terminal %d: %w", g, err)
 			}
 		}
 		t := &terms[g-lo]
 		t.id = uint32(g)
 		t.params = p
-		rngs[g-lo].SeedSubStream(cfg.Seed, uint64(g))
-		t.rng = &rngs[g-lo]
+		t.rng.SeedSubStream(cfg.Seed, uint64(g))
 		t.est = estimator{alpha: cfg.EWMAAlpha}
 		t.threshold = startD
 		if p.Q > 0 {
 			t.moveProb = p.Q / (1 - p.C)
 		}
+		t.callT = stats.BernoulliThreshold(p.C)
+		t.moveT = stats.BernoulliThreshold(t.moveProb)
+		t.curD = int32(startD)
 		n.metrics.PerTerminal[g-lo].ID = g
 		// Initial registration (subscription-time provisioning, not a
 		// mechanism update, so it is implicitly acknowledged).
 		n.register(t.makeUpdate())
 		t.ackedSeq = t.seq
 	}
-	return n, terms, rngs, nil
+	return n, terms, nil
 }
 
 // finishShard folds the per-terminal tail metrics (mean cost rate, final
@@ -427,7 +440,7 @@ func finishShard(n *network, terms []terminal, slots int64) *Metrics {
 // replays identically to the uninterrupted run.
 func runShard(ctx context.Context, r shardRun) (shardResult, error) {
 	cfg, slots := r.cfg, r.slots
-	n, terms, rngs, err := newShardNetwork(cfg, slots, r.lo, r.hi, r.startD, r.loc)
+	n, terms, err := newShardNetwork(cfg, slots, r.lo, r.hi, r.startD, r.loc)
 	if err != nil {
 		return shardResult{}, err
 	}
@@ -479,7 +492,7 @@ func runShard(ctx context.Context, r shardRun) (shardResult, error) {
 			capture(cur, uint64(cur)+1)
 		}
 		if r.every > 0 && cur > start && cur%r.every == 0 {
-			sc := captureShardCore(n, terms, rngs, cur, r.lo, r.hi, frames)
+			sc := captureShardCore(n, terms, cur, r.lo, r.hi, frames)
 			now, seq, ran, pending := sched.Checkpoint()
 			sc.DES = &DESCheckpoint{
 				Sched:        SchedCheckpoint{Now: uint64(now), Seq: seq, Ran: ran - 1, Pending: pending},
@@ -505,7 +518,7 @@ func runShard(ctx context.Context, r shardRun) (shardResult, error) {
 		}
 	}
 	if r.resume != nil {
-		if err := restoreShardCore(n, terms, rngs, r.resume); err != nil {
+		if err := restoreShardCore(n, terms, r.resume); err != nil {
 			return shardResult{}, err
 		}
 		frames = restoreFrames(r.resume.Frames)

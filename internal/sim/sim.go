@@ -45,16 +45,17 @@ const SlotTicks = 2048
 type Engine int
 
 const (
-	// EngineCols is the columnar cohort engine (the default): per-terminal
-	// hot state lives in flat parallel slices walked in cache-sized
-	// cohorts, and event-free stretches are skipped with exact geometric
-	// gap-sampling (stats.EventGap) instead of per-slot draws, touching
-	// event-queue machinery only for the slots where paging, ack/retry or
-	// fault handling actually fires. See runShardCols.
+	// EngineCols is the batch engine (the default): each terminal in
+	// turn runs a whole slot batch, and event-free stretches are skipped
+	// with exact geometric gap-sampling (stats.EventGap) on
+	// register-resident state instead of per-slot draws, touching
+	// event-queue machinery only for the slots where paging, ack/retry,
+	// timer or fault handling actually fires. The name is historical:
+	// the engine once kept its hot state in columns. See runShardCols.
 	EngineCols Engine = iota
 	// EngineDES is the reference event-driven engine: one discrete-event
 	// scheduler per shard sweeps the whole population every slot. It is
-	// the specification the columnar engine is differentially tested
+	// the specification the batch engine is differentially tested
 	// against.
 	EngineDES
 )
@@ -147,7 +148,7 @@ type Config struct {
 	// partition (see RunSharded).
 	Seed uint64
 	// Engine selects the simulation engine. The zero value is EngineCols,
-	// the columnar cohort engine; EngineDES selects the reference
+	// the batch engine; EngineDES selects the reference
 	// event-driven engine. Both produce bit-identical results.
 	Engine Engine
 }
@@ -240,12 +241,17 @@ func (e *estimator) params() chain.Params {
 	return chain.Params{Q: q, C: c}
 }
 
+// terminal is one mobile terminal's whole state: the only per-terminal
+// record either engine keeps. Scheduled closures (ack timers) capture
+// *terminal, so terminals live in one shard slice that never moves.
 type terminal struct {
 	id     uint32
 	pos    wire.Cell
 	params chain.Params
-	rng    *stats.RNG
-	est    estimator
+	// rng is the terminal's positional stream, stats.SubStream(Seed, id):
+	// every draw the terminal's history takes comes from here.
+	rng stats.RNG
+	est estimator
 	// center is the terminal's own view of its center cell. It matches
 	// the HLR record exactly unless an update message was lost in
 	// transit or deferred by an HLR outage (Config.Faults).
@@ -274,6 +280,29 @@ type terminal struct {
 	// lastContact is the slot of that last contact — the timer scheme's
 	// reference point. The initial registration at slot 0 counts.
 	lastContact int64
+
+	// The remaining fields belong to the batch engine (runShardCols);
+	// the reference engine ignores them.
+	//
+	// callT and moveT are the precomputed integer Bernoulli thresholds
+	// for the per-slot call and movement draws (stats.BernoulliThreshold
+	// of params.C and moveProb; both are fixed for the whole run).
+	callT, moveT uint64
+	// sched is the terminal's own scheduler. preSweep is where the
+	// reference engine's next slot-sweep event would sit in that
+	// terminal's insertion order: the SeqMark taken after the previous
+	// scheduler-touching slot's sweep. A queued event on the slot
+	// boundary runs before the boundary's sweep (and before any
+	// telemetry capture) exactly when its stamp is below the mark.
+	sched    des.Scheduler
+	preSweep uint64
+	// curD and runLen batch the per-slot threshold-usage accounting:
+	// runLen consecutive slots spent at threshold curD, flushed to
+	// Metrics.ThresholdSlots only when the threshold changes or the run
+	// ends — the reference engine's per-terminal-slot map increment is
+	// the single largest cost it pays.
+	curD   int32
+	runLen int64
 }
 
 // Run simulates the network for the given number of slots on a single

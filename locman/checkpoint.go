@@ -26,9 +26,6 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) { return sim.DecodeCheck
 // perturbs the simulation: the returned metrics are bit-identical to an
 // unobserved run.
 func SimulateNetworkCheckpointed(ctx context.Context, cfg NetworkConfig, slots int64, shards int, every int64, sink func(*Checkpoint)) (*NetworkMetrics, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 	sc, err := cfg.simConfig()
 	if err != nil {
 		return nil, err
@@ -46,9 +43,6 @@ func SimulateNetworkCheckpointed(ctx context.Context, cfg NetworkConfig, slots i
 // and hence the Report built from them — are then byte-identical to an
 // uninterrupted run. shards 0 adopts the checkpoint's shard count.
 func ResumeNetworkCheckpointed(ctx context.Context, cfg NetworkConfig, slots int64, shards int, cp *Checkpoint, every int64, sink func(*Checkpoint)) (*NetworkMetrics, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 	sc, err := cfg.simConfig()
 	if err != nil {
 		return nil, err

@@ -311,7 +311,7 @@ type NetworkConfig struct {
 	// Seed seeds the deterministic simulation.
 	Seed uint64
 	// Engine selects the simulation engine: EngineCols (the zero value)
-	// is the columnar cohort engine, EngineDES the reference event-driven
+	// is the batch engine, EngineDES the reference event-driven
 	// engine. Both produce bit-identical metrics, telemetry series and
 	// histograms for every configuration; the choice is purely speed.
 	Engine Engine
@@ -323,8 +323,8 @@ type Engine = sim.Engine
 
 // Engine implementations.
 const (
-	// EngineCols is the columnar cohort engine (the default): flat
-	// per-terminal state columns walked in cache-sized cohorts with
+	// EngineCols is the batch engine (the default): each terminal in
+	// turn runs a whole slot batch, skipping event-free stretches with
 	// geometric gap-sampling.
 	EngineCols = sim.EngineCols
 	// EngineDES is the reference event-driven engine.
@@ -377,6 +377,12 @@ func UpdateSchemeNames() []string { return sim.SchemeNames() }
 // simulation; see the sim package for field semantics.
 type FaultPlan = sim.FaultPlan
 
+// ExplicitZero requests a literal zero for the FaultPlan knobs whose zero
+// value means "use the default" (AckTimeout, PageRetries):
+// FaultPlan{PageRetries: ExplicitZero} drops unanswered calls after the
+// nominal plan with no recovery rounds at all.
+const ExplicitZero = sim.ExplicitZero
+
 // Outage is one scheduled HLR outage window in slots [Start, End).
 type Outage = sim.Outage
 
@@ -403,7 +409,22 @@ type Progress = telemetry.Progress
 // ShardStatus is one shard's progress as reported by Progress.Snapshot.
 type ShardStatus = telemetry.ShardStatus
 
+// Validate reports whether a simulation of cfg would start: the embedded
+// Config, the population (Fleet or PerTerminal) and every check the
+// engine makes before it simulates (sim.Config.Validate) — the fault
+// plan, the update scheme, the engine and the paging tick budget. It
+// shadows Config.Validate, which covers the analytical parameters only.
+func (cfg NetworkConfig) Validate() error {
+	_, err := cfg.simConfig()
+	return err
+}
+
+// simConfig validates cfg (see Validate) and translates it into the
+// engine's configuration.
 func (cfg NetworkConfig) simConfig() (sim.Config, error) {
+	if err := cfg.Config.Validate(); err != nil {
+		return sim.Config{}, err
+	}
 	sc := sim.Config{
 		Core:            cfg.internal(),
 		Terminals:       cfg.Terminals,
@@ -445,14 +466,11 @@ func (cfg NetworkConfig) simConfig() (sim.Config, error) {
 			return chain.Params{Q: q, C: c}
 		}
 	}
-	return sc, nil
+	return sc, sc.Validate()
 }
 
 // SimulateNetwork runs the PCN system simulator for the given slots.
 func SimulateNetwork(cfg NetworkConfig, slots int64) (*NetworkMetrics, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 	sc, err := cfg.simConfig()
 	if err != nil {
 		return nil, err
@@ -479,9 +497,6 @@ func SimulateNetworkSharded(cfg NetworkConfig, slots int64, shards int) (*Networ
 // simulation. This is the entry point long-running services (pcnserve)
 // use to honour job cancellation and per-job deadlines.
 func SimulateNetworkShardedCtx(ctx context.Context, cfg NetworkConfig, slots int64, shards int) (*NetworkMetrics, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 	sc, err := cfg.simConfig()
 	if err != nil {
 		return nil, err
